@@ -19,8 +19,6 @@ import time
 import warnings
 from fractions import Fraction
 
-from scipy import integrate
-
 from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
 from .montecarlo import SimulationConfig, estimate, sampler_equivalence_test
@@ -189,6 +187,9 @@ def lemma3_residual(k: int, n: int, j: int) -> float:
         raise ValueError("need n >= k")
     if not 1 <= j <= n - k + 2:
         raise ValueError("need 1 <= j <= n-k+2")
+    # scipy is loaded here, not at import: only the quadrature needs it.
+    from scipy import integrate
+
     lam = n - k + 2
     x_max = -math.log(1e-16) / lam
 
@@ -231,6 +232,8 @@ def run_lemma3_checks(
     Quadrature trouble (warnings or failure to converge) marks the entry
     failed rather than raising.
     """
+    from scipy import integrate
+
     report = VerificationReport()
     for k in k_values:
         tol = LEMMA3_TOLERANCES[k]

@@ -1,5 +1,7 @@
 """Estimator reproducibility, Wilson intervals, and agreement with exact values."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
@@ -8,6 +10,7 @@ import pytest
 
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
+    BLOCK_VALUES,
     DEFAULT_CHUNK_SIZE,
     GENERATOR_ID,
     BudgetExceededError,
@@ -116,6 +119,22 @@ def test_worker_count_does_not_change_the_result():
         )
 
 
+@pytest.mark.parametrize("model", list(SamplerModel))
+def test_threads_keep_their_scratch_arrays_apart(model):
+    """Each worker thread works its sub-blocks in its own scratch arrays: with
+    many small chunks on more threads than cores and frequent thread switches,
+    the counts still equal the one-worker run."""
+    cfg = _config(n=6, event=EventSpec.exists_k(3), model=model, trials=120_000, seed=4,
+                  chunk_size=1_500)
+    expected = estimate(cfg).successes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert estimate(cfg, workers=8).successes == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_partial_final_chunk_consumes_a_chunk_prefix():
     """Truncating the trial count only drops trailing trials: success counts
     nest monotonically as the stream is extended."""
@@ -199,3 +218,134 @@ def test_sampler_equivalence_entry():
     assert entry.passed
     assert entry.check_id == "mc/sampler-equivalence/all:k=3/n=5"
     assert entry.residual <= entry.tolerance
+
+
+# ------------------------------------------------------------ stream freeze
+#
+# Success counts recorded from the row-major engine that predates sub-blocks
+# and the column layout.  Any change to the draws, the spacing arithmetic or a
+# predicate's comparisons moves some of them.
+
+_FREEZE_RUNS = (  # (trials, chunk_size, seed)
+    (1000, 256, 2**64 - 1),  # partial last chunk, largest seed
+    (37, 1, 12345),  # one trial per chunk
+    (70_000, DEFAULT_CHUNK_SIZE, 3),  # one full default chunk and a partial one
+)
+
+# (n, model, event label, successes per run); n = 40 runs 5000 trials in place of 70 000.
+_FROZEN_SUCCESSES = [
+    (1, 'uniform', 'max-spacing:x=1/2', (1000, 37, 70000)),
+    (1, 'exponential', 'max-spacing:x=1/2', (1000, 37, 70000)),
+    (2, 'uniform', 'max-spacing:x=1/2', (1000, 37, 70000)),
+    (2, 'exponential', 'max-spacing:x=1/2', (1000, 37, 70000)),
+    (3, 'uniform', 'max-spacing:x=1/2', (752, 28, 52400)),
+    (3, 'uniform', 'all:k=3', (248, 9, 17600)),
+    (3, 'uniform', 'exists:k=3', (248, 9, 17600)),
+    (3, 'exponential', 'max-spacing:x=1/2', (749, 28, 52470)),
+    (3, 'exponential', 'all:k=3', (251, 9, 17530)),
+    (3, 'exponential', 'exists:k=3', (251, 9, 17530)),
+    (5, 'uniform', 'max-spacing:x=1/2', (306, 12, 21884)),
+    (5, 'uniform', 'all:k=3', (18, 1, 1297)),
+    (5, 'uniform', 'exists:k=3', (833, 28, 57666)),
+    (5, 'uniform', 'all:k=5', (694, 25, 48116)),
+    (5, 'uniform', 'exists:k=5', (694, 25, 48116)),
+    (5, 'exponential', 'max-spacing:x=1/2', (322, 12, 21918)),
+    (5, 'exponential', 'all:k=3', (13, 1, 1256)),
+    (5, 'exponential', 'exists:k=3', (817, 29, 57536)),
+    (5, 'exponential', 'all:k=5', (678, 25, 48082)),
+    (5, 'exponential', 'exists:k=5', (678, 25, 48082)),
+    (8, 'uniform', 'max-spacing:x=1/2', (59, 2, 4355)),
+    (8, 'uniform', 'all:k=3', (0, 0, 24)),
+    (8, 'uniform', 'exists:k=3', (998, 37, 69878)),
+    (8, 'uniform', 'all:k=8', (941, 35, 65645)),
+    (8, 'uniform', 'exists:k=8', (941, 35, 65645)),
+    (8, 'exponential', 'max-spacing:x=1/2', (63, 1, 4286)),
+    (8, 'exponential', 'all:k=3', (0, 0, 24)),
+    (8, 'exponential', 'exists:k=3', (997, 37, 69873)),
+    (8, 'exponential', 'all:k=8', (937, 36, 65714)),
+    (8, 'exponential', 'exists:k=8', (937, 36, 65714)),
+    (12, 'uniform', 'max-spacing:x=1/2', (9, 0, 414)),
+    (12, 'uniform', 'all:k=3', (0, 0, 0)),
+    (12, 'uniform', 'exists:k=3', (1000, 37, 70000)),
+    (12, 'uniform', 'all:k=12', (991, 37, 69586)),
+    (12, 'uniform', 'exists:k=12', (991, 37, 69586)),
+    (12, 'exponential', 'max-spacing:x=1/2', (10, 0, 409)),
+    (12, 'exponential', 'all:k=3', (0, 0, 0)),
+    (12, 'exponential', 'exists:k=3', (1000, 37, 70000)),
+    (12, 'exponential', 'all:k=12', (990, 37, 69591)),
+    (12, 'exponential', 'exists:k=12', (990, 37, 69591)),
+    (40, 'uniform', 'max-spacing:x=1/2', (0, 0, 0)),
+    (40, 'uniform', 'all:k=3', (0, 0, 0)),
+    (40, 'uniform', 'exists:k=3', (1000, 37, 5000)),
+    (40, 'uniform', 'all:k=40', (1000, 37, 5000)),
+    (40, 'uniform', 'exists:k=40', (1000, 37, 5000)),
+    (40, 'exponential', 'max-spacing:x=1/2', (0, 0, 0)),
+    (40, 'exponential', 'all:k=3', (0, 0, 0)),
+    (40, 'exponential', 'exists:k=3', (1000, 37, 5000)),
+    (40, 'exponential', 'all:k=40', (1000, 37, 5000)),
+    (40, 'exponential', 'exists:k=40', (1000, 37, 5000)),
+]
+
+
+def _event_from_label(label):
+    kind, _, param = label.partition(":")
+    value = param.split("=")[1]
+    if kind == "max-spacing":
+        return EventSpec.max_spacing(Fraction(value))
+    if kind == "all":
+        return EventSpec.all_k_subsets(int(value))
+    return EventSpec.exists_k(int(value))
+
+
+@pytest.mark.parametrize("n, model, label, frozen", _FROZEN_SUCCESSES)
+def test_success_counts_are_frozen(n, model, label, frozen):
+    counts = []
+    for trials, chunk_size, seed in _FREEZE_RUNS:
+        if trials > 10_000 and n > 12:
+            trials = 5000
+        cfg = SimulationConfig(n=n, event=_event_from_label(label), model=SamplerModel(model),
+                               trials=trials, seed=seed, chunk_size=chunk_size)
+        counts.append(estimate(cfg).successes)
+    assert tuple(counts) == frozen
+
+
+# ------------------------------------------------------------------ memory
+
+
+@pytest.mark.parametrize("model", list(SamplerModel))
+@pytest.mark.parametrize(
+    "event", [EventSpec.all_k_subsets(3), EventSpec.exists_k(3), EventSpec.max_spacing(Fraction(1, 2))],
+    ids=lambda e: e.label(),
+)
+def test_chunk_memory_is_bounded_by_the_block(model, event):
+    """A 300-trial chunk at n = 20 000 holds 48 MB of spacings; the engine
+    works it in sub-blocks of BLOCK_VALUES values and never holds more than a
+    few blocks at once."""
+    cfg = SimulationConfig(n=20_000, event=event, model=model, trials=300, seed=5)
+    tracemalloc.start()
+    try:
+        estimate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * BLOCK_VALUES * 8
+
+
+@pytest.mark.parametrize("model", list(SamplerModel))
+@pytest.mark.parametrize(
+    "event", [EventSpec.all_k_subsets(3), EventSpec.exists_k(3), EventSpec.max_spacing(Fraction(1, 2))],
+    ids=lambda e: e.label(),
+)
+@pytest.mark.parametrize("n", [3, 5, 12, 40])
+def test_repeat_estimate_reuses_block_memory(n, model, event):
+    """Sub-blocks are worked in per-thread scratch arrays, so once one estimate
+    has run, another of the same shape allocates no block-sized array: fresh
+    ones would be faulted in from the kernel on every block."""
+    estimate(SimulationConfig(n=n, event=event, model=model, trials=200_000, seed=1))
+    tracemalloc.start()
+    try:
+        estimate(SimulationConfig(n=n, event=event, model=model, trials=200_000, seed=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_VALUES * 8 // 4

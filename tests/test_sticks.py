@@ -1,5 +1,6 @@
 """Samplers and event predicates, checked against hand-built vectors and the oracle."""
 
+import threading
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -11,29 +12,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bstick.sticks import (
+    NETWORK_MAX_N,
     ORACLE_MAX_N,
+    SCRATCH_MAX_VALUES,
     EventKind,
     EventSpec,
     SamplerModel,
+    _network,
+    _row_sums,
+    _sorted_columns,
     all_k_subsets_polygon,
     event_indicator_batch,
     exists_k_polygon_windowed,
     max_spacing_exceeds,
     sample_spacings,
     sample_spacings_batch,
+    scratch_array,
     subset_polygon_oracle,
 )
 
 
 class StubRng:
-    """Feeds a fixed array through the Generator.random((count, dim)) call."""
+    """Feeds a fixed array through Generator.random((count, dim)) or random(out=...)."""
 
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float)
 
-    def random(self, size):
-        assert self._values.shape == tuple(size)
-        return self._values
+    def random(self, size=None, out=None):
+        if out is None:
+            assert self._values.shape == tuple(size)
+            return self._values.copy()
+        assert self._values.shape == out.shape
+        out[...] = self._values
+        return out
 
 
 # ---------------------------------------------------------------- samplers
@@ -94,6 +105,48 @@ def test_sampler_input_validation():
         sample_spacings_batch(3, SamplerModel.UNIFORM_BREAKS, rng, -1)
 
 
+@pytest.mark.parametrize("model", list(SamplerModel))
+@pytest.mark.parametrize("n", [1, 5, 13])
+def test_sampler_writes_into_out(model, n):
+    rng_a = np.random.default_rng(11)
+    rng_b = np.random.default_rng(11)
+    expected = sample_spacings_batch(n, model, rng_a, 50)
+    out = np.full((50, n), np.nan)
+    assert sample_spacings_batch(n, model, rng_b, 50, out=out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def test_sampler_rejects_unusable_out():
+    rng = np.random.default_rng(0)
+    for out in (np.empty((4, 3)), np.empty((5, 4)), np.empty((5, 3), order="F"),
+                np.empty((5, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_spacings_batch(3, SamplerModel.UNIFORM_BREAKS, rng, 5, out=out)
+
+
+def test_scratch_arrays_are_reused_per_name_and_thread():
+    a = scratch_array("test-a", (3, 100))
+    assert a.shape == (3, 100) and a.dtype == np.float64
+    assert np.shares_memory(a, scratch_array("test-a", (100, 3)))
+    assert np.shares_memory(a, scratch_array("test-a", (10,)))
+    assert not np.shares_memory(a, scratch_array("test-b", (3, 100)))
+    assert scratch_array("test-a", (3, 100), bool).dtype == np.bool_
+    assert not np.shares_memory(a, scratch_array("test-a", (3, 100), bool))
+    # a larger request grows the buffer; a later small one uses the grown memory
+    grown = scratch_array("test-a", (5, 100))
+    assert np.shares_memory(grown, scratch_array("test-a", (3, 100)))
+    # past SCRATCH_MAX_VALUES nothing is kept
+    big = scratch_array("test-a", (SCRATCH_MAX_VALUES + 1,))
+    assert not np.shares_memory(big, scratch_array("test-a", (SCRATCH_MAX_VALUES + 1,)))
+    assert np.shares_memory(grown, scratch_array("test-a", (3, 100)))
+    # another thread gets its own memory
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(scratch_array("test-a", (3, 100))))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(seen[0], scratch_array("test-a", (3, 100)))
+
+
 # ------------------------------------------------------------- event specs
 
 
@@ -111,6 +164,12 @@ def test_event_spec_validation():
         EventSpec(EventKind.MAX_SPACING, k=3, x=Fraction(1, 2))
     with pytest.raises(ValueError):
         EventSpec.all_k_subsets(6).validate_for(5)
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
+def test_max_spacing_rejects_non_finite_thresholds(x):
+    with pytest.raises(ValueError, match="max-spacing threshold must be a finite number"):
+        EventSpec.max_spacing(x)
 
 
 # -------------------------------------------------------------- predicates
@@ -294,3 +353,121 @@ def test_all_k_subsets_reduction_is_the_hardest_subset():
                 max(sub) <= sum(sub) - max(sub) for sub in combinations(row, k)
             )
             assert (worst[-1] <= worst[:-1].sum()) == direct
+
+
+# ------------------------------------------- column kernel vs row-major reference
+#
+# Up to NETWORK_MAX_N values per row the samplers and predicates work column
+# by column.  These are the row-major forms they replaced; the kernel must
+# reproduce them bit for bit on both sides of the crossover.
+
+
+def _philox(*key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def _ref_spacings(n, model, rng, count):
+    if model is SamplerModel.UNIFORM_BREAKS:
+        breaks = np.sort(rng.random((count, n - 1)), axis=1)
+        return np.diff(breaks, axis=1, prepend=0.0, append=1.0)
+    u = rng.random((count, n))
+    y = -np.log1p(-u)
+    return y / y.sum(axis=1, keepdims=True)
+
+
+def _ref_exponential_normalizer(rng, n, count):
+    y = -np.log1p(-rng.random((count, n)))
+    return y, y.sum(axis=1)
+
+
+def _ref_indicator_all(spacings, k):
+    srt = np.sort(spacings, axis=1)
+    return srt[:, -1] <= srt[:, : k - 1].sum(axis=1)
+
+
+def _ref_indicator_exists_windowed(spacings, k):
+    n = spacings.shape[1]
+    srt = np.sort(spacings, axis=1)
+    csum = np.cumsum(srt, axis=1)
+    csum = np.concatenate([np.zeros((srt.shape[0], 1)), csum], axis=1)
+    hit = np.zeros(srt.shape[0], dtype=bool)
+    for j in range(n - k + 1):
+        rest = csum[:, j + k - 1] - csum[:, j]
+        hit |= srt[:, j + k - 1] <= rest
+    return hit
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", range(1, NETWORK_MAX_N + 1))
+def test_network_sorts_every_zero_one_input(m):
+    """By the 0-1 principle a comparator network sorts all inputs iff it
+    sorts all 2^m inputs of zeros and ones."""
+    bits = (np.arange(2**m)[None, :] >> np.arange(m)[:, None]) & 1
+    cols = list(bits.astype(np.int8))
+    for lo, hi in _network(m):
+        cols[lo], cols[hi] = np.minimum(cols[lo], cols[hi]), np.maximum(cols[lo], cols[hi])
+    assert (np.diff(np.array(cols).reshape(m, -1), axis=0) >= 0).all()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, NETWORK_MAX_N, NETWORK_MAX_N + 1, 24, 50, 200])
+def test_sorted_columns_equal_row_sort(m):
+    rows = np.random.default_rng(m).random((300, m))
+    rows[::7, : m // 2] = 0.25  # ties
+    expected = np.sort(rows, axis=1)
+    for layout in (rows, np.asfortranarray(rows)):
+        cols = _sorted_columns(layout)
+        assert cols.shape == (m, 300)
+        assert _same_bits(cols.T, expected)
+        assert _same_bits(layout, rows), "input must not be modified"
+
+
+_SIZES = st.one_of(st.integers(1, 40), st.sampled_from([63, 64, 65, 127, 128, 129, 200, 300]))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=_SIZES,
+    count=st.integers(0, 70),
+    model=st.sampled_from(list(SamplerModel)),
+)
+@settings(max_examples=60, deadline=None)
+def test_column_kernel_matches_row_major_reference_bitwise(seed, n, count, model):
+    spacings = sample_spacings_batch(n, model, _philox(seed, 1), count)
+    expected = _ref_spacings(n, model, _philox(seed, 1), count)
+    assert spacings.flags.c_contiguous
+    assert _same_bits(spacings, expected)
+    if count == 0 or n < 3:
+        return
+    ref_sorted = np.sort(expected, axis=1)
+    # a copy: the predicates below reuse the scratch array _sorted_columns returns
+    srt = _sorted_columns(spacings).copy()
+    for k in sorted({3, 4, 9, 10, n // 2, n} & set(range(3, n + 1))):
+        # the k-1 smallest spacings, summed in numpy's row order
+        assert _same_bits(_row_sums(srt[: k - 1]), ref_sorted[:, : k - 1].sum(axis=1))
+        for layout in (spacings, np.asfortranarray(spacings)):
+            np.testing.assert_array_equal(
+                event_indicator_batch(EventSpec.all_k_subsets(k), layout),
+                _ref_indicator_all(expected, k),
+            )
+            np.testing.assert_array_equal(
+                event_indicator_batch(EventSpec.exists_k(k), layout),
+                _ref_indicator_exists_windowed(expected, k),
+            )
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=_SIZES, count=st.integers(1, 70))
+@settings(max_examples=60, deadline=None)
+def test_exponential_normalizer_matches_row_sum_bitwise(seed, n, count):
+    y, expected = _ref_exponential_normalizer(_philox(seed, 2), n, count)
+    for cols in (y.T, np.ascontiguousarray(y.T)):
+        assert _same_bits(_row_sums(cols), expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 1000, 20_000])
+def test_row_sums_match_numpy_row_sum(m):
+    """Covers the sequential, 8-accumulator and row-major branches."""
+    rows = np.random.default_rng(m).random((5, m)) * 10.0 ** np.arange(-2, 3)[:, None]
+    assert _same_bits(_row_sums(np.ascontiguousarray(rows.T)), rows.sum(axis=1))

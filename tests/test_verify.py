@@ -1,9 +1,14 @@
 """The cross-validation harness itself: every suite must pass on honest inputs."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bstick
 from bstick.report import VerificationEntry, VerificationReport
 from bstick.verify import (
     LEMMA3_TOLERANCES,
@@ -131,3 +136,26 @@ def test_mc_crosschecks_deterministic_given_seed():
     a = run_mc_crosschecks(10_000, seed=11)
     b = run_mc_crosschecks(10_000, seed=11, workers=4)
     assert [(e.check_id, e.actual) for e in a] == [(e.check_id, e.actual) for e in b]
+
+
+_LAZY_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import bstick
+assert "scipy" not in sys.modules, "import bstick loaded scipy"
+from bstick.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"]) == 0
+assert "scipy" not in sys.modules, "bstick simulate loaded scipy"
+bstick.verify.lemma3_residual(4, 5, 1)
+assert "scipy" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_by_the_quadrature():
+    """A fresh interpreter: import bstick and simulate, then the lemma3 check."""
+    env = dict(os.environ)
+    src = str(Path(bstick.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
