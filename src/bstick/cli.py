@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -158,13 +159,13 @@ def emit_records(records: list[dict[str, Any]], fmt: str, stream) -> None:
 def emit_report(report: VerificationReport, fmt: str, stream) -> None:
     entries = report.sorted_entries()
     if fmt == "json":
-        json.dump([e.to_dict() for e in entries], stream, indent=2)
+        json.dump([asdict(e) for e in entries], stream, indent=2)
         stream.write("\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(REPORT_FIELDS)
         for e in entries:
-            d = e.to_dict()
+            d = asdict(e)
             writer.writerow([_csv_cell(d[f]) for f in REPORT_FIELDS])
 
 

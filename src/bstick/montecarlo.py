@@ -8,13 +8,17 @@ of (seed, chunk index, offset within chunk) and results are bitwise identical
 for a given config no matter how chunks are scheduled across workers.
 
 Within a chunk, trials are drawn and tested in consecutive sub-blocks of about
-BLOCK_VALUES spacing values, which bounds a chunk's memory.  The sub-blocks
-consume the chunk's draws in order, and the samplers and predicates work one
-column (one spacing index of every trial) at a time with the same arithmetic
-as the row-major form, so neither the sub-blocks nor the column layout change
-any spacing, indicator or success count.  Each thread writes its sub-blocks
-into the same scratch arrays (sticks.scratch_array) from block to block and
-from one estimate to the next, so a run does not keep faulting in fresh pages.
+BLOCK_VALUES spacing values, which bounds a chunk's memory (n is capped at
+MAX_N so that one trial fits in a sub-block).  The sub-blocks consume the
+chunk's draws in order, and the samplers and predicates work one column (one
+spacing index of every trial) at a time with the same arithmetic as the
+row-major form, so neither the sub-blocks nor the column layout change any
+spacing, indicator or success count.  Up to sticks.NETWORK_MAX_N values per
+trial a sub-block is sampled into an F-ordered (trials, n) array, so its
+columns stay contiguous from the sampler to the indicator; wider sub-blocks
+stay C-ordered.  Each thread writes its sub-blocks into the same scratch
+arrays (sticks.scratch_array) from block to block and from one estimate to
+the next, so a run does not keep faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from .report import VerificationEntry
 from .sticks import (
+    NETWORK_MAX_N,
     ORACLE_MAX_N,
     EventSpec,
     SamplerModel,
@@ -41,6 +46,8 @@ __all__ = [
     "GENERATOR_ID",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_TRIAL_BUDGET",
+    "MAX_N",
+    "MAX_WORKERS",
     "BudgetExceededError",
     "SimulationConfig",
     "EstimateResult",
@@ -65,6 +72,16 @@ DEFAULT_TRIAL_BUDGET = 10**9
 # each other with no consistent winner, and 2^18 1.2-2x slower.
 BLOCK_VALUES = 1 << 17
 
+# Largest n an estimate accepts: one trial's spacings must fit in a sub-block,
+# or a sub-block's arrays would grow with n (n * 8 bytes each).  Larger n is a
+# usage error (ValueError, CLI exit code 2), raised before anything is drawn.
+MAX_N = BLOCK_VALUES
+
+# Most worker threads an estimate starts.  Each worker takes a fixed share of
+# the chunks, so an estimate holds one thread and one future per worker, never
+# one per chunk.  More workers is a usage error, raised before any thread starts.
+MAX_WORKERS = 64
+
 _MAX_SEED = 2**64 - 1
 
 
@@ -85,8 +102,8 @@ class SimulationConfig:
     use_oracle: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
@@ -148,12 +165,19 @@ def _chunk_successes(config: SimulationConfig, chunk_index: int) -> int:
     successes = 0
     for first in range(0, count, rows):
         size = min(rows, count - first)
-        spacings = sample_spacings_batch(
-            config.n, config.model, rng, size, out=scratch_array("spacings", (size, config.n))
-        )
+        if config.n <= NETWORK_MAX_N:
+            out = scratch_array("spacings", (config.n, size)).T
+        else:
+            out = scratch_array("spacings", (size, config.n))
+        spacings = sample_spacings_batch(config.n, config.model, rng, size, out=out)
         hits = event_indicator_batch(config.event, spacings, use_oracle=config.use_oracle)
         successes += int(np.count_nonzero(hits))
     return successes
+
+
+def _strided_successes(config: SimulationConfig, first: int, step: int, n_chunks: int) -> int:
+    """Successes of chunks first, first + step, ... below n_chunks."""
+    return sum(_chunk_successes(config, c) for c in range(first, n_chunks, step))
 
 
 def estimate(
@@ -164,22 +188,25 @@ def estimate(
 ) -> EstimateResult:
     """Run config.trials independent trials and return the estimate.
 
-    Chunks may be evaluated on concurrent workers; per-chunk success counts
-    are merged by summation, so the result does not depend on worker count.
+    Chunks may be evaluated on up to MAX_WORKERS concurrent workers; worker w
+    takes chunks c = w (mod workers).  Per-chunk success counts are merged by
+    integer summation, so the result does not depend on worker count.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
     if config.trials * config.n > budget:
         raise BudgetExceededError(
             f"trials*n = {config.trials * config.n} exceeds budget {budget}"
         )
     n_chunks = ceil(config.trials / config.chunk_size)
-    if workers == 1 or n_chunks == 1:
-        counts = [_chunk_successes(config, c) for c in range(n_chunks)]
+    workers = min(workers, n_chunks)
+    if workers == 1:
+        successes = _strided_successes(config, 0, 1, n_chunks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda c: _chunk_successes(config, c), range(n_chunks)))
-    successes = sum(counts)
+            futures = [pool.submit(_strided_successes, config, w, workers, n_chunks)
+                       for w in range(workers)]
+            successes = sum(f.result() for f in futures)
     low, high = wilson_interval(successes, config.trials, ci_level)
     return EstimateResult(
         p_hat=successes / config.trials,

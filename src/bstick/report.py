@@ -23,17 +23,6 @@ class VerificationEntry:
     passed: bool
     runtime_ms: int
 
-    def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "expected": self.expected,
-            "actual": self.actual,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "runtime_ms": self.runtime_ms,
-        }
-
 
 @dataclass
 class VerificationReport:

@@ -5,6 +5,13 @@ same spacing distribution arises from n unit-mean exponentials normalized by
 their sum, which is the second sampler offered here; the Monte Carlo engine
 estimates under either model and the verification suite checks they agree.
 
+Up to NETWORK_MAX_N values per trial, batches are worked as contiguous
+columns (one spacing index of every trial): the sampler writes each column of
+an F-ordered result contiguously, the breaks are sorted by a comparator
+network of whole-column np.minimum/np.maximum steps, and the 'all' predicate
+runs that network pruned to the k-1 smallest and the largest outputs.  Every
+value is bit for bit that of the row-major computation.
+
 Polygon inequalities are non-strict: a set of lengths forms a k-gon iff its
 maximum is <= the sum of the others, so degenerate (zero-area) polygons count
 as formed.  The event boundary has probability zero, so estimates are
@@ -142,7 +149,8 @@ def sample_spacings_batch(
     count: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sample ``count`` spacing vectors as a C-contiguous (count, n) array.
+    """Sample ``count`` spacing vectors as a (count, n) array, C-contiguous
+    unless ``out`` is given.
 
     Draw consumption is fixed per trial (``model.draws_per_trial(n)`` uniforms,
     row-major), so trial t of a batch sees exactly the draws that t sequential
@@ -155,8 +163,9 @@ def sample_spacings_batch(
     and differenced with 0 and 1 at the ends, or exponentials divided by their
     row sum added in numpy's order.
 
-    ``out``, a C-contiguous float64 (count, n) array, receives the result
-    instead of a new array.
+    ``out``, a C- or F-contiguous float64 (count, n) array, receives the
+    result instead of a new array.  F order keeps every column contiguous, so
+    the samplers and the predicates work on contiguous columns throughout.
     """
     if n < 1:
         raise ValueError("sample_spacings requires n >= 1")
@@ -164,16 +173,21 @@ def sample_spacings_batch(
         raise ValueError("count must be nonnegative")
     if out is None:
         out = np.empty((count, n))
-    elif out.shape != (count, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(count, n)}")
-    if model is SamplerModel.EXPONENTIAL_NORMALIZED:
-        y = rng.random(out=scratch_array("draws", (count, n)))
-        np.negative(y, out=y)
-        np.log1p(y, out=y)
-        np.negative(y, out=y)
-        return np.divide(y, _row_sums(y.T)[:, None], out=out)
-    breaks = _sorted_columns(rng.random(out=scratch_array("draws", (count, n - 1))))
+    elif (out.shape != (count, n) or out.dtype != np.float64
+          or not (out.flags.c_contiguous or out.flags.f_contiguous)):
+        raise ValueError(
+            f"out must be a C- or F-contiguous float64 array of shape {(count, n)}"
+        )
     cols = out.T
+    if model is SamplerModel.EXPONENTIAL_NORMALIZED:
+        # z = log1p(-u) is -y exactly, and its column sum is exactly minus the
+        # sum of y: negation is exact and round-to-nearest is symmetric.  So
+        # z / sum(z) has the bits of y / sum(y) with one pass less.
+        np.negative(rng.random(out=scratch_array("draws", (count, n))).T, out=cols)
+        np.log1p(cols, out=cols)
+        np.divide(cols, _row_sums(cols), out=cols)
+        return out
+    breaks = _sorted_columns(rng.random(out=scratch_array("draws", (count, n - 1))))
     if n == 1:
         cols[0] = 1.0
     else:
@@ -283,15 +297,89 @@ def _network(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+@cache
+def _selection_steps(m: int, smallest: int) -> tuple[tuple[np.ufunc, int, int, int], ...]:
+    """_network(m), pruned to sorted positions 0..smallest-1 and m-1, as steps
+    over buffers.
+
+    A step (f, a, b, out) runs f(buffers[a], buffers[b], out=buffers[out]).
+    Buffers 0..m-1 are the input columns, only read; buffers m..2m are the m+1
+    rows of the work array.  Comparators whose outputs feed no needed position
+    are dropped, and one whose min (or max) alone is needed becomes a single
+    np.minimum (or np.maximum).  The work rows are numbered so that sorted
+    position i ends in work row i for every needed i.
+    """
+    needed = set(range(min(smallest, m))) | ({m - 1} if m else set())
+    # Backward pass: keep the comparators some needed output depends on,
+    # with the positions still read after each one.
+    comparators = []
+    live = set(needed)
+    for lo, hi in reversed(_network(m)):
+        outputs = (lo in live, hi in live)
+        if any(outputs):
+            comparators.append((lo, hi, *outputs, frozenset(live)))
+            live |= {lo, hi}
+    comparators.reverse()
+
+    # Forward pass: give every output a work row, never overwriting an input
+    # or a value still to be read.
+    loc = list(range(m))
+    free = list(range(2 * m, m - 1, -1))
+    steps = []
+
+    def row_for(*candidates):
+        for c in candidates:
+            if c >= m:
+                return c
+        return free.pop()
+
+    for lo, hi, need_min, need_max, live_after in comparators:
+        a, b = loc[lo], loc[hi]
+        if need_min and need_max:
+            t = free.pop()
+            u = row_for(b, a)
+            steps += [(np.minimum, a, b, t), (np.maximum, a, b, u)]
+            loc[lo], loc[hi] = t, u
+        elif need_min:
+            loc[lo] = row_for(a, b)
+            steps.append((np.minimum, a, b, loc[lo]))
+        else:
+            loc[hi] = row_for(b, a)
+            steps.append((np.maximum, a, b, loc[hi]))
+        for pos in (lo, hi):
+            if pos not in live_after:
+                loc[pos] = None
+        for row in {a, b} - set(loc):
+            if row >= m:
+                free.append(row)
+    for pos in needed:
+        if loc[pos] < m:  # never compared (m = 1): min(x, x) copies it
+            loc[pos] = free.pop()
+            steps.append((np.minimum, pos, pos, loc[pos]))
+
+    # Renumber the work rows so that needed position i ends in row m + i.
+    rename = {loc[pos]: m + pos for pos in needed}
+    work_rows = set(range(m, 2 * m + 1))
+    rename.update(zip(sorted(work_rows - rename.keys()),
+                      sorted(work_rows - set(rename.values()))))
+    return tuple(
+        (f, rename.get(a, a), rename.get(b, b), rename[out]) for f, a, b, out in steps
+    )
+
+
+def _sorted_columns(rows: np.ndarray, smallest: int | None = None) -> np.ndarray:
     """Sort each row of a (count, m) array; return the (m, count) transpose.
 
-    Up to NETWORK_MAX_N values per row, a C-contiguous transposed copy is
-    sorted by a fixed comparator network whose every step is an
-    np.minimum/np.maximum over two whole columns.  Wider rows are sorted
-    row-major like np.sort and returned as a transposed view.  Sorting only
-    permutes values, so both give the bits of np.sort(rows, axis=1).  The
-    result is the thread's "sorted" scratch array; the input is not modified.
+    Up to NETWORK_MAX_N values per row, rows.T is sorted by a fixed comparator
+    network whose every step is an np.minimum/np.maximum over two whole
+    columns.  The first comparator to touch a column reads it from rows.T
+    (contiguous when rows is F-ordered) and writes into the work array, so the
+    input is never copied or modified.  With ``smallest`` = j the network is
+    pruned to positions 0..j-1 and m-1, and only those rows hold sorted
+    values.  Wider rows are sorted row-major like np.sort and returned as a
+    transposed view.  Sorting only permutes values, so both give the bits of
+    np.sort(rows, axis=1).  The result is a view of one of the thread's
+    scratch arrays ("columns" or "sorted").
     """
     count, m = rows.shape
     if m > NETWORK_MAX_N:
@@ -300,19 +388,10 @@ def _sorted_columns(rows: np.ndarray) -> np.ndarray:
         srt.sort(axis=1)
         return srt.T
     work = scratch_array("columns", (m + 1, count))
-    work[:m] = rows.T
-    cols = list(work)
-    # slot[i] is the row of work holding sorted position i; slot[m] is spare.
-    slot = list(range(m + 1))
-    for lo, hi in _network(m):
-        a, b, spare = cols[slot[lo]], cols[slot[hi]], cols[slot[m]]
-        np.minimum(a, b, out=spare)
-        np.maximum(a, b, out=b)
-        slot[lo], slot[m] = slot[m], slot[lo]
-    srt = scratch_array("sorted", (m, count))
-    for i in range(m):
-        srt[i] = cols[slot[i]]
-    return srt
+    buffers = [*rows.T, *work]
+    for f, a, b, out in _selection_steps(m, m if smallest is None else smallest):
+        f(buffers[a], buffers[b], out=buffers[out])
+    return work[:m]
 
 
 # numpy sums a row of up to this many values with 8 running partial sums;
@@ -358,13 +437,15 @@ def _polygon_indicator(kind: EventKind, spacings: np.ndarray, k: int) -> np.ndar
     """The all/exists k-gon indicator of each row of a (count, n) spacing array.
 
     Works on the sorted columns.  'all' tests the largest spacing against the
-    sum of the k-1 smallest.  'exists' tests every window of k consecutive
+    sum of the k-1 smallest, which are all the network pruned to those outputs
+    computes.  'exists' sorts fully and tests every window of k consecutive
     sorted spacings at once: the top of window j against csum[j+k-1] - csum[j],
     where csum[i] is the running sum of the i smallest.
     """
-    srt = _sorted_columns(spacings)
     if kind is EventKind.ALL_K_SUBSETS:
+        srt = _sorted_columns(spacings, k - 1)
         return srt[-1] <= _row_sums(srt[: k - 1])
+    srt = _sorted_columns(spacings)
     n, count = srt.shape
     csum = scratch_array("csum", (n + 1, count))
     csum[0] = 0.0
@@ -399,16 +480,21 @@ def event_indicator_batch(
 ) -> np.ndarray:
     """Evaluate the event indicator on a (trials, n) batch of spacing vectors.
 
-    ``use_oracle`` swaps the reduced predicates for the brute-force subset
-    enumeration (n <= ORACLE_MAX_N); max-spacing has no oracle form.
+    Up to NETWORK_MAX_N values per row the predicates work on the columns
+    spacings.T, which are contiguous when ``spacings`` is F-ordered; a
+    C-ordered batch gives the same result.  ``use_oracle`` swaps the reduced
+    predicates for the brute-force subset enumeration (n <= ORACLE_MAX_N);
+    max-spacing has no oracle form.
     """
-    n = spacings.shape[1]
+    count, n = spacings.shape
     if event.kind is EventKind.MAX_SPACING:
         if n > NETWORK_MAX_N:
             return spacings.max(axis=1) > float(event.x)
-        cols = scratch_array("columns", (n, spacings.shape[0]))
-        np.copyto(cols, spacings.T)
-        return cols.max(axis=0, out=scratch_array("sum", (spacings.shape[0],))) > float(event.x)
+        cols = spacings.T
+        if not cols.flags.c_contiguous:
+            cols = scratch_array("columns", (n, count))
+            np.copyto(cols, spacings.T)
+        return cols.max(axis=0, out=scratch_array("sum", (count,))) > float(event.x)
     event.validate_for(n)
     if use_oracle:
         if n > ORACLE_MAX_N:

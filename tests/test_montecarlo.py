@@ -2,17 +2,22 @@
 
 import sys
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
 
 import pytest
 
+from bstick import montecarlo
+from bstick.cli import main
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
     BLOCK_VALUES,
     DEFAULT_CHUNK_SIZE,
     GENERATOR_ID,
+    MAX_N,
+    MAX_WORKERS,
     BudgetExceededError,
     EstimateResult,
     SimulationConfig,
@@ -117,6 +122,74 @@ def test_worker_count_does_not_change_the_result():
             results[0].trials,
             results[0].p_hat,
         )
+
+
+@pytest.mark.parametrize("model", list(SamplerModel))
+class FakeExecutor:
+    """Stands in for ThreadPoolExecutor: runs each task inline and records
+    how many workers were asked for and how many tasks were submitted."""
+
+    instances = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        FakeExecutor.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, chunks", [(2, 7), (5, 3), (MAX_WORKERS, 1000)])
+def test_workers_take_strided_chunk_shares(monkeypatch, workers, chunks):
+    """One task per worker, never one per chunk, and at most one worker per
+    chunk; the counts equal the serial run.  No real thread is started."""
+    cfg = _config(n=5, event=EventSpec.exists_k(3), trials=chunks * 10, chunk_size=10, seed=3)
+    expected = estimate(cfg).successes
+    FakeExecutor.instances.clear()
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
+    assert estimate(cfg, workers=workers).successes == expected
+    (pool,) = FakeExecutor.instances
+    assert pool.max_workers == pool.submitted == min(workers, chunks)
+
+
+def test_too_many_workers_is_rejected_before_any_pool(monkeypatch):
+    FakeExecutor.instances.clear()
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
+    with pytest.raises(ValueError, match="workers"):
+        estimate(_config(trials=10**6, chunk_size=1), workers=MAX_WORKERS + 1)
+    assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000",
+                 "--chunk-size", "1", "--workers", str(MAX_WORKERS + 1)]) == 2
+    assert FakeExecutor.instances == []
+
+
+def test_n_above_max_n_is_rejected_before_allocating():
+    """A trial must fit in one sub-block.  n = 5e8 with one trial is within the
+    trial budget, but its block arrays would take 4 GB each: it is refused
+    before anything of that size is allocated."""
+    SimulationConfig(n=MAX_N, event=EventSpec.exists_k(3), model=SamplerModel.UNIFORM_BREAKS,
+                     trials=1, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n must lie in"):
+            SimulationConfig(n=MAX_N + 1, event=EventSpec.exists_k(3),
+                             model=SamplerModel.UNIFORM_BREAKS, trials=1, seed=0)
+        code = main(["simulate", "--n", str(5 * 10**8), "--event", "max-spacing", "--x", "1/2",
+                     "--trials", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < BLOCK_VALUES
 
 
 @pytest.mark.parametrize("model", list(SamplerModel))

@@ -20,6 +20,7 @@ from bstick.sticks import (
     SamplerModel,
     _network,
     _row_sums,
+    _selection_steps,
     _sorted_columns,
     all_k_subsets_polygon,
     event_indicator_batch,
@@ -118,10 +119,19 @@ def test_sampler_writes_into_out(model, n):
 
 def test_sampler_rejects_unusable_out():
     rng = np.random.default_rng(0)
-    for out in (np.empty((4, 3)), np.empty((5, 4)), np.empty((5, 3), order="F"),
-                np.empty((5, 3), dtype=np.float32)):
+    for out in (np.empty((4, 3)), np.empty((5, 4)), np.empty((5, 3), dtype=np.float32),
+                np.empty((10, 3))[::2], np.empty((5, 6))[:, :3], np.empty((3, 10)).T[::2]):
         with pytest.raises(ValueError, match="out must be"):
             sample_spacings_batch(3, SamplerModel.UNIFORM_BREAKS, rng, 5, out=out)
+
+
+@pytest.mark.parametrize("model", list(SamplerModel))
+def test_sampler_accepts_f_ordered_out(model):
+    expected = sample_spacings_batch(3, model, np.random.default_rng(0), 5)
+    out = np.empty((3, 5)).T
+    assert out.flags.f_contiguous and not out.flags.c_contiguous
+    assert sample_spacings_batch(3, model, np.random.default_rng(0), 5, out=out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 def test_scratch_arrays_are_reused_per_name_and_thread():
@@ -412,6 +422,23 @@ def test_network_sorts_every_zero_one_input(m):
     assert (np.diff(np.array(cols).reshape(m, -1), axis=0) >= 0).all()
 
 
+@pytest.mark.parametrize("m", range(1, NETWORK_MAX_N + 1))
+def test_pruned_networks_select_every_zero_one_input(m):
+    """The network pruned to the j smallest and the largest gives those order
+    statistics exactly on all 2^m zero-one inputs, for every j the 'all'
+    predicate uses (j = k-1 in 2..m-1), and so on every input (0-1 principle).
+    Both input layouts are checked: columns read in place or through strides."""
+    rows = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
+    expected = np.sort(rows, axis=1).T
+    for j in range(2, m):
+        needed = [*range(j), m - 1]
+        assert len(_selection_steps(m, j)) <= 2 * len(_network(m))
+        for layout in (rows, np.asfortranarray(rows)):
+            assert _same_bits(_sorted_columns(layout, j)[needed], expected[needed])
+    if m >= 4:
+        assert len(_selection_steps(m, 2)) < 2 * len(_network(m))
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 7, NETWORK_MAX_N, NETWORK_MAX_N + 1, 24, 50, 200])
 def test_sorted_columns_equal_row_sort(m):
     rows = np.random.default_rng(m).random((300, m))
@@ -471,3 +498,35 @@ def test_row_sums_match_numpy_row_sum(m):
     """Covers the sequential, 8-accumulator and row-major branches."""
     rows = np.random.default_rng(m).random((5, m)) * 10.0 ** np.arange(-2, 3)[:, None]
     assert _same_bits(_row_sums(np.ascontiguousarray(rows.T)), rows.sum(axis=1))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, NETWORK_MAX_N),
+    count=st.integers(0, 70),
+    model=st.sampled_from(list(SamplerModel)),
+)
+@settings(max_examples=60, deadline=None)
+def test_f_ordered_out_matches_c_ordered_out_bitwise(seed, n, count, model):
+    """The Monte Carlo engine samples into F-ordered blocks (contiguous
+    columns); the values are those of a C-ordered out and of the row-major
+    reference."""
+    expected = _ref_spacings(n, model, _philox(seed, 3), count)
+    c_out = sample_spacings_batch(n, model, _philox(seed, 3), count, out=np.empty((count, n)))
+    f_out = sample_spacings_batch(n, model, _philox(seed, 3), count, out=np.empty((n, count)).T)
+    assert f_out.flags.f_contiguous
+    assert _same_bits(c_out, expected)
+    assert _same_bits(f_out, expected)
+
+
+@pytest.mark.parametrize("n", [*range(1, NETWORK_MAX_N + 1), NETWORK_MAX_N + 1, 24])
+def test_event_indicator_is_layout_independent(n):
+    rows = _random_spacings(np.random.default_rng(n), n, 500)
+    cols = np.asfortranarray(rows)
+    events = [EventSpec.max_spacing(Fraction(1, 4))]
+    for k in range(3, n + 1):
+        events += [EventSpec.all_k_subsets(k), EventSpec.exists_k(k)]
+    for event in events:
+        expected = event_indicator_batch(event, rows).copy()
+        np.testing.assert_array_equal(event_indicator_batch(event, cols), expected)
+        assert _same_bits(cols, rows), "input must not be modified"

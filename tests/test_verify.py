@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ def test_report_container():
     assert report.failures() == [bad]
     assert report.sorted_entries() == [bad, good]
     assert list(report) == [good, bad]
-    assert good.to_dict()["check_id"] == "b/one"
+    assert asdict(good)["check_id"] == "b/one"
 
 
 def test_exact_crosschecks_all_pass():
