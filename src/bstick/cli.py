@@ -30,7 +30,6 @@ from .montecarlo import (
     SimulationConfig,
     estimate,
 )
-from .report import VerificationReport
 from .sticks import EventSpec, SamplerModel
 
 __all__ = ["main", "entrypoint"]
@@ -156,7 +155,7 @@ def emit_records(records: list[dict[str, Any]], fmt: str, stream) -> None:
             writer.writerow([_csv_cell(rec[f]) for f in RECORD_FIELDS])
 
 
-def emit_report(report: VerificationReport, fmt: str, stream) -> None:
+def emit_report(report: verify.VerificationReport, fmt: str, stream) -> None:
     entries = report.sorted_entries()
     if fmt == "json":
         json.dump([asdict(e) for e in entries], stream, indent=2)
@@ -169,52 +168,24 @@ def emit_report(report: VerificationReport, fmt: str, stream) -> None:
             writer.writerow([_csv_cell(d[f]) for f in REPORT_FIELDS])
 
 
-_FORMULA_ARGS = {
-    # formula: (needs k, needs x)
-    "theorem1": (True, False),
-    "pnn": (False, False),
-    "p3n": (False, False),
-    "p4n-beta": (False, False),
-    "p5n-beta": (False, False),
-    "whitworth": (False, True),
-    "exists-triangle": (False, False),
-}
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
-    needs_k, needs_x = _FORMULA_ARGS[args.formula]
-    if needs_k and args.k is None:
-        raise ValueError(f"--formula {args.formula} requires --k")
-    if not needs_k and args.k is not None:
-        raise ValueError(f"--formula {args.formula} does not take --k")
-    if needs_x and args.x is None:
-        raise ValueError(f"--formula {args.formula} requires --x")
-    if not needs_x and args.x is not None:
-        raise ValueError(f"--formula {args.formula} does not take --x")
-    n, cap = args.n, args.cap
-
-    if args.formula == "theorem1":
-        rec = _record("exact", k=args.k, n=n, event="theorem1",
-                      value_exact=exact.prob_all_kgon(args.k, n, cap=cap))
-    elif args.formula == "pnn":
-        rec = _record("exact", k=n, n=n, event="pnn",
-                      value_exact=exact.prob_all_ngon(n, cap=cap))
-    elif args.formula == "p3n":
-        rec = _record("exact", k=3, n=n, event="p3n",
-                      value_exact=exact.prob_all_triangle(n, cap=cap))
-    elif args.formula == "p4n-beta":
-        rec = _record("exact", k=4, n=n, event="p4n-beta",
-                      value_exact=exact.prob_all_quadrilateral_beta(n, cap=cap))
-    elif args.formula == "p5n-beta":
-        rec = _record("exact", k=5, n=n, event="p5n-beta",
-                      value_exact=exact.prob_all_pentagon_beta(n, cap=cap))
-    elif args.formula == "whitworth":
-        x = parse_rational(args.x)
-        rec = _record("exact", n=n, event=f"whitworth:x={x}",
-                      value_exact=exact.whitworth_survivor(n, x, cap=cap))
+    formula = exact.FORMULAS[args.formula]
+    for option in ("k", "x"):
+        given = getattr(args, option) is not None
+        if formula.arg == option and not given:
+            raise ValueError(f"--formula {args.formula} requires --{option}")
+        if formula.arg != option and given:
+            raise ValueError(f"--formula {args.formula} does not take --{option}")
+    n = args.n
+    if formula.arg == "x":
+        arg = parse_rational(args.x)
+        k, event = None, f"{args.formula}:x={arg}"
     else:
-        rec = _record("exact", k=3, n=n, event="exists-triangle",
-                      value_exact=exact.prob_exists_triangle(n, cap=cap))
+        arg = args.k
+        k = arg if formula.arg == "k" else formula.k_of_n(n)
+        event = args.formula
+    rec = _record("exact", k=k, n=n, event=event,
+                  value_exact=formula.evaluate(n, arg, args.cap))
     emit_records([rec], args.format, sys.stdout)
     return EXIT_OK
 
@@ -273,7 +244,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    report = VerificationReport()
+    if args.suite in ("mc", "all"):
+        verify.check_mc_args(args.trials, seed, args.workers)
+    report = verify.VerificationReport()
     if args.suite in ("exact", "all"):
         report.extend(verify.run_exact_crosschecks(args.n_max))
     if args.suite in ("identities", "all"):
@@ -310,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="evaluate one closed-form probability")
-    p_exact.add_argument("--formula", required=True, choices=sorted(_FORMULA_ARGS))
+    p_exact.add_argument("--formula", required=True, choices=sorted(exact.FORMULAS))
     p_exact.add_argument("--k", type=int)
     p_exact.add_argument("--n", type=int, required=True)
     p_exact.add_argument("--x", help="rational threshold, e.g. 1/2 or 0.5")

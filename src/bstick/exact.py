@@ -1,30 +1,32 @@
 """Closed-form broken-stick probabilities, evaluated in exact rational arithmetic.
 
-Everything in this module returns :class:`fractions.Fraction` values.  The
-general k-gon formula is an alternating sum whose terms carry binomial
-coefficients, so double precision would lose all accuracy for large n; exact
-arithmetic keeps every cross-formula comparison an equality test.  A guarded
-double-precision path (:func:`prob_all_kgon_float`) exists for trend
-exploration beyond the rational-arithmetic cap.
+Everything in this module returns :class:`fractions.Fraction` values, so every
+cross-formula comparison is an equality test.  The general k-gon formula
+(Theorem 1, :func:`prob_all_kgon`) is an alternating sum with binomial-sized
+terms; it is evaluated term by term as integer ratios.  The older special
+cases it generalizes (all n pieces, triangles, the Beta forms for k = 4 and 5)
+and the related Whitworth and exists-triangle forms are kept as independent
+closed forms.  :data:`FORMULAS` lists every form by its command-line name,
+with the options it takes and the Theorem 1 cross-check that holds it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
+# pochhammer is not called here, but perfbench's tracer rebinds exact.pochhammer.
 from .kernel import Rational, beta_int, binomial, falling_product, fibonacci, pochhammer
 
 __all__ = [
     "DEFAULT_N_CAP",
+    "FORMULAS",
     "CapExceededError",
-    "CancellationWarning",
+    "Formula",
     "ProblemSpec",
     "prob_all_kgon",
-    "prob_all_kgon_float",
     "prob_all_ngon",
     "prob_all_triangle",
     "prob_all_quadrilateral_beta",
@@ -41,10 +43,6 @@ DEFAULT_N_CAP = 200
 
 class CapExceededError(Exception):
     """Piece count exceeds the configured exact-arithmetic cap."""
-
-
-class CancellationWarning(UserWarning):
-    """The floating-point sum lost essentially all significant digits."""
 
 
 @dataclass(frozen=True)
@@ -67,61 +65,24 @@ def _check_cap(n: int, cap: int) -> None:
 def prob_all_kgon(k: int, n: int, cap: int = DEFAULT_N_CAP) -> Rational:
     """Probability that every choice of k pieces out of n forms a k-gon.
 
-    Exact evaluation of
+    Theorem 1, with m = n-k+2:
 
-        [n(n-1)...(n-k+3) / (n-k+2)] *
-            sum_{j=1}^{n-k+2} (-1)^{j+1} j^{-(k-3)} C(n-k+2, j)
-                              / ((n-k+2)/j + 1)_{k-2}
+        [n(n-1)...(n-k+3) / m] *
+            sum_{j=1}^{m} (-1)^{j+1} j^{-(k-3)} C(m, j) / (m/j + 1)_{k-2}
 
-    The prefactor has exactly k-2 falling factors, and at k=3 the j^{-(k-3)}
-    factor degenerates to 1 for every j.
+    The prefactor has exactly k-2 falling factors.  Since
+    (m/j + 1)_{k-2} * j^{k-2} = prod_{i=1}^{k-2} (m + ij), term j is
+    evaluated as the integer ratio C(m, j) * j / prod_{i=1}^{k-2} (m + ij),
+    the same rational with no Fraction arithmetic inside the term.
     """
     spec = ProblemSpec(k, n)
     _check_cap(spec.n, cap)
     m = n - k + 2
     total = Fraction(0)
     for j in range(1, m + 1):
-        term = Fraction(binomial(m, j), j ** (k - 3))
-        term /= pochhammer(Fraction(m, j) + 1, k - 2)
+        term = Fraction(binomial(m, j) * j, math.prod(range(m + j, m + (k - 2) * j + 1, j)))
         total += term if j % 2 == 1 else -term
     return Fraction(falling_product(n, k - 2), m) * total
-
-
-def prob_all_kgon_float(k: int, n: int) -> float:
-    """Double-precision variant of :func:`prob_all_kgon` for large n.
-
-    Uses Kahan-compensated summation and emits :class:`CancellationWarning`
-    when max|term| / |result| exceeds 1e12, at which point the returned value
-    carries no trustworthy digits.
-    """
-    ProblemSpec(k, n)
-    m = n - k + 2
-    total = 0.0
-    comp = 0.0
-    max_abs = 0.0
-    for j in range(1, m + 1):
-        poch = 1.0
-        base = m / j + 1.0
-        for i in range(k - 2):
-            poch *= base + i
-        term = binomial(m, j) / (j ** (k - 3) * poch)
-        if j % 2 == 0:
-            term = -term
-        max_abs = max(max_abs, abs(term))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    prefactor = falling_product(n, k - 2) / m
-    result = prefactor * total
-    if max_abs > 1e12 * abs(total):
-        warnings.warn(
-            f"catastrophic cancellation at k={k}, n={n}: "
-            f"max|term|/|sum| = {max_abs / abs(total) if total else math.inf:.3g}",
-            CancellationWarning,
-            stacklevel=2,
-        )
-    return result
 
 
 def prob_all_ngon(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
@@ -231,3 +192,38 @@ def alternating_factorial_identity(k: int) -> bool:
         term = Fraction(1, math.factorial(i - 1) * math.factorial(k - 1 - i))
         lhs += term if i % 2 == 0 else -term
     return lhs == Fraction(1, math.factorial(k - 2))
+
+
+@dataclass(frozen=True)
+class Formula:
+    """One closed form, as `bstick exact` and the exact cross-checks use it.
+
+    ``evaluate(n, arg, cap)`` returns the exact value, where ``arg`` is the
+    value of the form's own option (``arg`` names it: "k", "x" or None).
+    ``k_of_n`` gives the polygon size of a fixed-polygon form, recorded as the
+    record's k.  ``check`` names the `verify --suite exact` check that holds
+    the form equal to Theorem 1 at k_of_n(n), for every n with k_of_n(n) <= n.
+    """
+
+    evaluate: Callable[[int, Any, int], Rational]
+    arg: str | None = None
+    k_of_n: Callable[[int], int] | None = None
+    check: str | None = None
+
+
+# The lambdas look each function up in this module's globals at call time, so
+# a rebinding of a module attribute (the benchmark's tracer) sees every call.
+FORMULAS: dict[str, Formula] = {
+    "theorem1": Formula(lambda n, k, cap: prob_all_kgon(k, n, cap=cap), arg="k"),
+    "pnn": Formula(lambda n, _, cap: prob_all_ngon(n, cap=cap),
+                   k_of_n=lambda n: n, check="ngon-closed"),
+    "p3n": Formula(lambda n, _, cap: prob_all_triangle(n, cap=cap),
+                   k_of_n=lambda n: 3, check="triangle-closed"),
+    "p4n-beta": Formula(lambda n, _, cap: prob_all_quadrilateral_beta(n, cap=cap),
+                        k_of_n=lambda n: 4, check="quadrilateral-beta"),
+    "p5n-beta": Formula(lambda n, _, cap: prob_all_pentagon_beta(n, cap=cap),
+                        k_of_n=lambda n: 5, check="pentagon-beta"),
+    "whitworth": Formula(lambda n, x, cap: whitworth_survivor(n, x, cap=cap), arg="x"),
+    "exists-triangle": Formula(lambda n, _, cap: prob_exists_triangle(n, cap=cap),
+                               k_of_n=lambda n: 3),
+}

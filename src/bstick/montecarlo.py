@@ -23,7 +23,6 @@ the next, so a run does not keep faulting in fresh pages.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, sqrt
@@ -31,7 +30,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .report import VerificationEntry
 from .sticks import (
     NETWORK_MAX_N,
     ORACLE_MAX_N,
@@ -53,7 +51,6 @@ __all__ = [
     "EstimateResult",
     "wilson_interval",
     "estimate",
-    "sampler_equivalence_test",
 ]
 
 # Stream identifier recorded in every serialized estimate.  Bump only if the
@@ -217,44 +214,4 @@ def estimate(
         ci_level=ci_level,
         seed=config.seed,
         model=config.model,
-    )
-
-
-def _mix64(seed: int) -> int:
-    """SplitMix64 finalizer; derives the second model's seed for equivalence runs."""
-    z = (seed + 0x9E3779B97F4A7C15) & _MAX_SEED
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
-    return z ^ (z >> 31)
-
-
-def sampler_equivalence_test(
-    n: int, event: EventSpec, trials: int, seed: int, workers: int = 1
-) -> VerificationEntry:
-    """Estimate the same event under both sampler models and compare.
-
-    The models realize the same spacing distribution, so the two estimates
-    must agree within 5 combined binomial standard errors.
-    """
-    t0 = time.perf_counter()
-    res_a = estimate(
-        SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
-                         trials=trials, seed=seed),
-        workers=workers,
-    )
-    res_b = estimate(
-        SimulationConfig(n=n, event=event, model=SamplerModel.EXPONENTIAL_NORMALIZED,
-                         trials=trials, seed=_mix64(seed)),
-        workers=workers,
-    )
-    diff = abs(res_a.p_hat - res_b.p_hat)
-    tol = 5.0 * sqrt(res_a.std_error**2 + res_b.std_error**2)
-    return VerificationEntry(
-        check_id=f"mc/sampler-equivalence/{event.label()}/n={n}",
-        expected=f"{res_a.p_hat:.12g}",
-        actual=f"{res_b.p_hat:.12g}",
-        residual=diff,
-        tolerance=tol,
-        passed=diff <= tol,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )

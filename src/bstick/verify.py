@@ -10,31 +10,87 @@ Four suites:
                 general formula, against its exact closed value;
 * mc         -- Monte Carlo estimates against exact values, plus agreement
                 between the two sampler models.
+
+Each suite returns a VerificationReport of VerificationEntry records.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
-from .montecarlo import SimulationConfig, estimate, sampler_equivalence_test
-from .report import VerificationEntry, VerificationReport
+from .montecarlo import MAX_WORKERS, SimulationConfig, estimate
 from .sticks import EventSpec, SamplerModel
 
 __all__ = [
+    "VerificationEntry",
+    "VerificationReport",
     "run_exact_crosschecks",
     "run_identity_selftests",
     "lemma3_residual",
     "run_lemma3_checks",
+    "check_mc_args",
+    "sampler_equivalence_test",
     "run_mc_crosschecks",
     "run_all",
 ]
 
 LEMMA3_TOLERANCES = {4: 1e-8, 5: 1e-6, 6: 1e-5}
+
+_MAX_SEED = 2**64 - 1
+
+
+@dataclass(frozen=True)
+class VerificationEntry:
+    """One check: expected vs actual, with residual and pass/fail.
+
+    Exact-equality checks use tolerance 0.0 and must have residual 0.0 to
+    pass; tolerance-based checks pass iff residual <= tolerance.
+    """
+
+    check_id: str
+    expected: str
+    actual: str
+    residual: float
+    tolerance: float
+    passed: bool
+    runtime_ms: int
+
+
+@dataclass
+class VerificationReport:
+    """An ordered collection of verification entries."""
+
+    entries: list[VerificationEntry] = field(default_factory=list)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def add(self, entry: VerificationEntry) -> None:
+        self.entries.append(entry)
+
+    def extend(self, other: "VerificationReport") -> None:
+        self.entries.extend(other.entries)
+
+    @property
+    def all_passed(self) -> bool:
+        return all(e.passed for e in self.entries)
+
+    def failures(self) -> list[VerificationEntry]:
+        return [e for e in self.entries if not e.passed]
+
+    def sorted_entries(self) -> list[VerificationEntry]:
+        """Entries sorted by check_id, the canonical serialization order."""
+        return sorted(self.entries, key=lambda e: e.check_id)
 
 
 def _exact_entry(check_id: str, expected: Fraction, actual: Fraction, t0: float) -> VerificationEntry:
@@ -51,7 +107,12 @@ def _exact_entry(check_id: str, expected: Fraction, actual: Fraction, t0: float)
 
 
 def run_exact_crosschecks(n_max: int) -> VerificationReport:
-    """Rational equality of the general k-gon formula with every closed form."""
+    """Rational equality of the general k-gon formula with every closed form.
+
+    Each exact.FORMULAS entry with a check is compared with Theorem 1 at its
+    k for every n >= k.  The Whitworth survivor at x = 1/2 is held to
+    n / 2^(n-1) from n = 2, where Theorem 1 is undefined.
+    """
     if n_max < 5:
         raise ValueError("n_max must be >= 5")
     report = VerificationReport()
@@ -65,34 +126,14 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
         ))
     for n in range(3, n_max + 1):
         cap = max(n, exact.DEFAULT_N_CAP)
-        t0 = time.perf_counter()
-        report.add(_exact_entry(
-            f"exact/ngon-closed/n={n:02d}",
-            exact.prob_all_ngon(n, cap=cap),
-            exact.prob_all_kgon(n, n, cap=cap),
-            t0,
-        ))
-        t0 = time.perf_counter()
-        report.add(_exact_entry(
-            f"exact/triangle-closed/n={n:02d}",
-            exact.prob_all_triangle(n, cap=cap),
-            exact.prob_all_kgon(3, n, cap=cap),
-            t0,
-        ))
-        if n >= 4:
+        for formula in exact.FORMULAS.values():
+            if formula.check is None or formula.k_of_n(n) > n:
+                continue
             t0 = time.perf_counter()
             report.add(_exact_entry(
-                f"exact/quadrilateral-beta/n={n:02d}",
-                exact.prob_all_quadrilateral_beta(n, cap=cap),
-                exact.prob_all_kgon(4, n, cap=cap),
-                t0,
-            ))
-        if n >= 5:
-            t0 = time.perf_counter()
-            report.add(_exact_entry(
-                f"exact/pentagon-beta/n={n:02d}",
-                exact.prob_all_pentagon_beta(n, cap=cap),
-                exact.prob_all_kgon(5, n, cap=cap),
+                f"exact/{formula.check}/n={n:02d}",
+                formula.evaluate(n, None, cap),
+                exact.prob_all_kgon(formula.k_of_n(n), n, cap=cap),
                 t0,
             ))
     return report
@@ -282,16 +323,66 @@ def _mc_entry(
     )
 
 
+def _mix64(seed: int) -> int:
+    """SplitMix64 finalizer; derives the second model's seed for equivalence runs."""
+    z = (seed + 0x9E3779B97F4A7C15) & _MAX_SEED
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
+    return z ^ (z >> 31)
+
+
+def sampler_equivalence_test(
+    n: int, event: EventSpec, trials: int, seed: int, workers: int = 1
+) -> VerificationEntry:
+    """Estimate the same event under both sampler models and compare.
+
+    The models realize the same spacing distribution, so the two estimates
+    must agree within 5 combined binomial standard errors.
+    """
+    t0 = time.perf_counter()
+    res_a = estimate(
+        SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
+                         trials=trials, seed=seed),
+        workers=workers,
+    )
+    res_b = estimate(
+        SimulationConfig(n=n, event=event, model=SamplerModel.EXPONENTIAL_NORMALIZED,
+                         trials=trials, seed=_mix64(seed)),
+        workers=workers,
+    )
+    diff = abs(res_a.p_hat - res_b.p_hat)
+    tol = 5.0 * math.sqrt(res_a.std_error**2 + res_b.std_error**2)
+    return VerificationEntry(
+        check_id=f"mc/sampler-equivalence/{event.label()}/n={n}",
+        expected=f"{res_a.p_hat:.12g}",
+        actual=f"{res_b.p_hat:.12g}",
+        residual=diff,
+        tolerance=tol,
+        passed=diff <= tol,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    )
+
+
+def check_mc_args(trials: int, seed: int, workers: int) -> None:
+    """Reject arguments of the mc suite before any suite runs."""
+    if trials < 10**4:
+        raise ValueError("trials must be >= 10^4")
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+
+
 def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> VerificationReport:
     """Monte Carlo estimates against exact values on a fixed grid.
 
     Pass band is 5 binomial standard errors around the exact probability
-    (false-failure odds about 6e-7 per entry).
+    (false-failure odds about 6e-7 per entry).  The runs take the seeds
+    seed, seed + 1, ... modulo 2^64, in order.
     """
-    if trials < 10**4:
-        raise ValueError("trials must be >= 10^4")
+    check_mc_args(trials, seed, workers)
     report = VerificationReport()
-    stream = seed
+    streams = ((seed + i) & _MAX_SEED for i in itertools.count())
 
     for n in range(3, 9):
         for k in range(3, n + 1):
@@ -300,10 +391,9 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
                 exact.prob_all_kgon(k, n),
                 SimulationConfig(n=n, event=EventSpec.all_k_subsets(k),
                                  model=SamplerModel.UNIFORM_BREAKS,
-                                 trials=trials, seed=stream),
+                                 trials=trials, seed=next(streams)),
                 workers,
             ))
-            stream += 1
 
     for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4))):
         report.add(_mc_entry(
@@ -311,10 +401,9 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
             exact.whitworth_survivor(n, x),
             SimulationConfig(n=n, event=EventSpec.max_spacing(x),
                              model=SamplerModel.UNIFORM_BREAKS,
-                             trials=trials, seed=stream),
+                             trials=trials, seed=next(streams)),
             workers,
         ))
-        stream += 1
 
     for n in (4, 5):
         report.add(_mc_entry(
@@ -322,22 +411,21 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
             exact.prob_exists_triangle(n),
             SimulationConfig(n=n, event=EventSpec.exists_k(3),
                              model=SamplerModel.UNIFORM_BREAKS,
-                             trials=trials, seed=stream),
+                             trials=trials, seed=next(streams)),
             workers,
         ))
-        stream += 1
 
     for k, n in ((3, 5), (4, 6), (5, 7)):
         report.add(sampler_equivalence_test(
-            n, EventSpec.all_k_subsets(k), trials, stream, workers=workers))
-        stream += 1
+            n, EventSpec.all_k_subsets(k), trials, next(streams), workers=workers))
     report.add(sampler_equivalence_test(
-        6, EventSpec.max_spacing(Fraction(1, 2)), trials, stream, workers=workers))
+        6, EventSpec.max_spacing(Fraction(1, 2)), trials, next(streams), workers=workers))
     return report
 
 
 def run_all(n_max: int = 20, trials: int = 10**5, seed: int = 0, workers: int = 1) -> VerificationReport:
     """The full default suite; completes in well under five minutes."""
+    check_mc_args(trials, seed, workers)
     report = VerificationReport()
     report.extend(run_exact_crosschecks(n_max))
     report.extend(run_identity_selftests())

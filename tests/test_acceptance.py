@@ -21,7 +21,7 @@ from bstick.exact import (
     whitworth_survivor,
 )
 from bstick.kernel import binomial
-from bstick.montecarlo import SimulationConfig, estimate, sampler_equivalence_test
+from bstick.montecarlo import SimulationConfig, estimate
 from bstick.sticks import (
     EventSpec,
     SamplerModel,
@@ -30,7 +30,7 @@ from bstick.sticks import (
     sample_spacings_batch,
     subset_polygon_oracle,
 )
-from bstick.verify import run_lemma3_checks
+from bstick.verify import run_lemma3_checks, sampler_equivalence_test
 
 F = Fraction
 TRIALS = 1_000_000

@@ -5,11 +5,12 @@ All invocations go through main(argv) in-process so capsys sees the streams.
 
 import csv
 import io
+import itertools
 import json
 
 import pytest
 
-from bstick import verify
+from bstick import exact, verify
 from bstick.cli import (
     EXIT_BUDGET,
     EXIT_CAP,
@@ -25,7 +26,7 @@ from bstick.cli import (
     parse_rational,
 )
 from bstick.montecarlo import GENERATOR_ID
-from bstick.report import VerificationEntry, VerificationReport
+from bstick.verify import VerificationEntry, VerificationReport
 
 from fractions import Fraction
 
@@ -147,6 +148,44 @@ def test_exact_argument_policing(capsys):
     # invalid domain
     code, _, err = run(capsys, "exact", "--formula", "theorem1", "--k", "9", "--n", "5")
     assert code == EXIT_USAGE
+
+
+def _smallest_n(name, formula):
+    if formula.k_of_n is not None:
+        return next(n for n in itertools.count(3) if formula.k_of_n(n) <= n)
+    return {"theorem1": 3, "whitworth": 2}[name]  # theorem1 with --k 3
+
+
+def test_every_registry_formula_runs_and_is_cross_checked(capsys):
+    """Each exact.FORMULAS entry is a --formula choice that runs at its
+    smallest n with exactly its own option, and its cross-check against
+    Theorem 1 covers every n from there on."""
+    code, out, _ = run(capsys, "verify", "--suite", "exact", "--n-max", "8")
+    assert code == EXIT_OK
+    ids = {e["check_id"] for e in json.loads(out)}
+    option_values = {"k": "3", "x": "1/2"}
+    for name, formula in exact.FORMULAS.items():
+        n_min = _smallest_n(name, formula)
+        argv = ["exact", "--formula", name]
+        if formula.arg is not None:
+            argv += [f"--{formula.arg}", option_values[formula.arg]]
+        code, out, err = run(capsys, *argv, "--n", str(n_min))
+        assert code == EXIT_OK, (name, err)
+        (rec,) = records_of(out)
+        if formula.k_of_n is not None:
+            assert rec["k"] == formula.k_of_n(n_min)
+        assert run(capsys, *argv, "--n", str(n_min - 1))[0] == EXIT_USAGE
+        for option, value in option_values.items():
+            if option == formula.arg:
+                code, _, err = run(capsys, "exact", "--formula", name, "--n", str(n_min))
+                assert code == EXIT_USAGE and f"requires --{option}" in err
+            else:
+                code, _, err = run(capsys, *argv, "--n", str(n_min), f"--{option}", value)
+                assert code == EXIT_USAGE and f"does not take --{option}" in err
+        if formula.check is not None:
+            for n in range(3, 9):
+                expected = formula.k_of_n(n) <= n
+                assert (f"exact/{formula.check}/n={n:02d}" in ids) == expected, (name, n)
 
 
 def test_exact_cap_exit_code(capsys):
@@ -323,6 +362,25 @@ def test_verify_mc_suite_small(capsys):
         capsys, "verify", "--suite", "mc", "--trials", "10000", "--seed", "2",
         "--workers", "4",
     )
+    assert code == EXIT_OK
+    assert all(e["passed"] for e in json.loads(out))
+
+
+@pytest.mark.parametrize("bad", [["--workers", "65"], ["--workers", "0"],
+                                 ["--trials", "100"], ["--seed", "-1"]])
+def test_verify_rejects_bad_mc_arguments_before_any_suite(capsys, monkeypatch, bad):
+    called = []
+    for suite in ("run_exact_crosschecks", "run_identity_selftests",
+                  "run_lemma3_checks", "run_mc_crosschecks"):
+        monkeypatch.setattr(verify, suite, lambda *a, _suite=suite, **kw: called.append(_suite))
+    code, out, _ = run(capsys, "verify", "--suite", "all", *bad)
+    assert code == EXIT_USAGE and out == ""
+    assert called == []
+
+
+def test_verify_mc_accepts_the_largest_seed(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "mc",
+                       "--seed", "18446744073709551615", "--trials", "10000")
     assert code == EXIT_OK
     assert all(e["passed"] for e in json.loads(out))
 

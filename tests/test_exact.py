@@ -4,7 +4,6 @@ The frozen rationals below were fixed by working the sums out by hand before
 any of this code existed, so they are independent of the implementation.
 """
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,13 +12,11 @@ from hypothesis import strategies as st
 
 from bstick.exact import (
     DEFAULT_N_CAP,
-    CancellationWarning,
     CapExceededError,
     ProblemSpec,
     alternating_factorial_identity,
     joint_spacing_survivor,
     prob_all_kgon,
-    prob_all_kgon_float,
     prob_all_ngon,
     prob_all_pentagon_beta,
     prob_all_quadrilateral_beta,
@@ -27,7 +24,7 @@ from bstick.exact import (
     prob_exists_triangle,
     whitworth_survivor,
 )
-from bstick.kernel import binomial
+from bstick.kernel import binomial, falling_product, pochhammer
 
 F = Fraction
 
@@ -51,6 +48,22 @@ def test_prob_all_kgon_frozen_values():
     assert prob_all_kgon(3, 4) == F(1, 15)
     assert prob_all_kgon(3, 5) == F(1, 56)
     assert prob_all_kgon(6, 6) == F(13, 16)
+
+
+def _theorem1_pochhammer(k, n):
+    """Theorem 1 term by term as the paper states it, kept as the reference."""
+    m = n - k + 2
+    total = F(0)
+    for j in range(1, m + 1):
+        term = F(binomial(m, j), j ** (k - 3)) / pochhammer(F(m, j) + 1, k - 2)
+        total += term if j % 2 == 1 else -term
+    return F(falling_product(n, k - 2), m) * total
+
+
+def test_integer_term_form_equals_pochhammer_form():
+    for n in range(3, 61):
+        for k in range(3, n + 1):
+            assert prob_all_kgon(k, n) == _theorem1_pochhammer(k, n), (k, n)
 
 
 def test_prob_all_ngon_closed_form_sweep():
@@ -196,18 +209,3 @@ def test_cap_enforcement():
         whitworth_survivor(DEFAULT_N_CAP + 1, F(1, 2))
     # an explicit larger cap lifts the guard
     assert prob_all_ngon(DEFAULT_N_CAP + 1, cap=DEFAULT_N_CAP + 1) < 1
-
-
-def test_float_path_agrees_at_moderate_n():
-    for k, n in ((3, 10), (4, 12), (5, 9), (6, 8)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CancellationWarning)
-            approx = prob_all_kgon_float(k, n)
-        assert approx == pytest.approx(float(prob_all_kgon(k, n)), rel=1e-9)
-
-
-def test_float_path_warns_on_catastrophic_cancellation():
-    # the k=3 alternating sum collapses to ~1/C(2n-2, n); by n=40 the terms
-    # dwarf the result by far more than twelve orders of magnitude
-    with pytest.warns(CancellationWarning):
-        prob_all_kgon_float(3, 40)

@@ -22,10 +22,10 @@ from bstick.montecarlo import (
     EstimateResult,
     SimulationConfig,
     estimate,
-    sampler_equivalence_test,
     wilson_interval,
 )
 from bstick.sticks import EventSpec, SamplerModel
+from bstick.verify import sampler_equivalence_test
 
 
 def _config(**kw):

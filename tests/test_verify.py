@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import bstick
-from bstick.report import VerificationEntry, VerificationReport
 from bstick.verify import (
+    VerificationEntry,
+    VerificationReport,
     LEMMA3_TOLERANCES,
     lemma3_closed_value,
     lemma3_residual,
