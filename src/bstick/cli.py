@@ -26,6 +26,7 @@ from .exact import DEFAULT_N_CAP, CapExceededError
 from .montecarlo import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_TRIAL_BUDGET,
+    MAX_SEED,
     BudgetExceededError,
     SimulationConfig,
     estimate,
@@ -48,8 +49,6 @@ RECORD_FIELDS = [
 REPORT_FIELDS = [
     "check_id", "expected", "actual", "residual", "tolerance", "passed", "runtime_ms",
 ]
-
-_MAX_SEED = 2**64 - 1
 
 
 def _timestamp() -> str:
@@ -99,7 +98,7 @@ def _default_seed() -> int:
         value = int(env, 10)
     except ValueError:
         raise ValueError(f"BSTICK_SEED must be a decimal integer, got {env!r}") from None
-    if not 0 <= value <= _MAX_SEED:
+    if not 0 <= value <= MAX_SEED:
         raise ValueError("BSTICK_SEED must fit in an unsigned 64-bit integer")
     return value
 
@@ -144,38 +143,44 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def emit_records(records: list[dict[str, Any]], fmt: str, stream) -> None:
+def _write(rows: list[dict[str, Any]], fields: list[str], fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(records, stream, indent=2)
+        json.dump(rows, stream, indent=2)
         stream.write("\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow([_csv_cell(rec[f]) for f in RECORD_FIELDS])
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_csv_cell(row[f]) for f in fields])
+
+
+# emit_records and emit_report never call each other: perfbench's tracer
+# times each of them as one emit.
+def emit_records(records: list[dict[str, Any]], fmt: str, stream) -> None:
+    _write(records, RECORD_FIELDS, fmt, stream)
 
 
 def emit_report(report: verify.VerificationReport, fmt: str, stream) -> None:
-    entries = report.sorted_entries()
-    if fmt == "json":
-        json.dump([asdict(e) for e in entries], stream, indent=2)
-        stream.write("\n")
-    else:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(REPORT_FIELDS)
-        for e in entries:
-            d = asdict(e)
-            writer.writerow([_csv_cell(d[f]) for f in REPORT_FIELDS])
+    _write([asdict(e) for e in report.sorted_entries()], REPORT_FIELDS, fmt, stream)
+
+
+def _check_options(owner: str, takes: str | None, args: argparse.Namespace,
+                   order: tuple[str, str] = ("k", "x")) -> None:
+    """Require the option `takes` ("k", "x" or None) and refuse the other one.
+
+    The options are checked in `order` and the first violation is raised.
+    """
+    for option in order:
+        given = getattr(args, option) is not None
+        if option == takes and not given:
+            raise ValueError(f"{owner} requires --{option}")
+        if option != takes and given:
+            raise ValueError(f"{owner} does not take --{option}")
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     formula = exact.FORMULAS[args.formula]
-    for option in ("k", "x"):
-        given = getattr(args, option) is not None
-        if formula.arg == option and not given:
-            raise ValueError(f"--formula {args.formula} requires --{option}")
-        if formula.arg != option and given:
-            raise ValueError(f"--formula {args.formula} does not take --{option}")
+    _check_options(f"--formula {args.formula}", formula.arg, args)
     n = args.n
     if formula.arg == "x":
         arg = parse_rational(args.x)
@@ -196,10 +201,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if k_lo < 3:
         raise ValueError("k range must start at 3 or above")
     records = []
-    for k in range(k_lo, k_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            if k > n:
-                continue
+    # Cells with k > n are empty: no k beyond the largest n is visited.
+    for k in range(k_lo, min(k_hi, n_hi) + 1):
+        for n in range(max(k, n_lo), n_hi + 1):
             records.append(_record("exact", k=k, n=n, event="theorem1",
                                    value_exact=exact.prob_all_kgon(k, n, cap=args.cap)))
     emit_records(records, args.format, sys.stdout)
@@ -207,16 +211,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _build_event(args: argparse.Namespace) -> EventSpec:
+    # An event's own option is checked first, then the one it refuses.
+    order = ("x", "k") if args.event == "max-spacing" else ("k", "x")
+    _check_options(f"--event {args.event}", order[0], args, order)
     if args.event == "max-spacing":
-        if args.x is None:
-            raise ValueError("--event max-spacing requires --x")
-        if args.k is not None:
-            raise ValueError("--event max-spacing does not take --k")
         return EventSpec.max_spacing(parse_rational(args.x))
-    if args.k is None:
-        raise ValueError(f"--event {args.event} requires --k")
-    if args.x is not None:
-        raise ValueError(f"--event {args.event} does not take --x")
     if args.event == "all":
         return EventSpec.all_k_subsets(args.k)
     return EventSpec.exists_k(args.k)
@@ -244,17 +243,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.suite in ("mc", "all"):
-        verify.check_mc_args(args.trials, seed, args.workers)
-    report = verify.VerificationReport()
-    if args.suite in ("exact", "all"):
-        report.extend(verify.run_exact_crosschecks(args.n_max))
-    if args.suite in ("identities", "all"):
-        report.extend(verify.run_identity_selftests())
-    if args.suite in ("lemma3", "all"):
-        report.extend(verify.run_lemma3_checks())
-    if args.suite in ("mc", "all"):
-        report.extend(verify.run_mc_crosschecks(args.trials, seed, workers=args.workers))
+    report = verify.run_all(args.n_max, args.trials, seed, args.workers, suite=args.suite)
 
     if args.out is not None:
         try:
@@ -317,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run cross-validation suites")
     p_ver.add_argument("--suite", required=True,
-                       choices=["exact", "identities", "lemma3", "mc", "all"])
+                       choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--n-max", type=int, default=20)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=None)

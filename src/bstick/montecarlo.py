@@ -45,6 +45,7 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_TRIAL_BUDGET",
     "MAX_N",
+    "MAX_SEED",
     "MAX_WORKERS",
     "BudgetExceededError",
     "SimulationConfig",
@@ -79,7 +80,8 @@ MAX_N = BLOCK_VALUES
 # one per chunk.  More workers is a usage error, raised before any thread starts.
 MAX_WORKERS = 64
 
-_MAX_SEED = 2**64 - 1
+# Largest seed: a seed is one 64-bit word of the generator key.
+MAX_SEED = 2**64 - 1
 
 
 class BudgetExceededError(Exception):
@@ -105,7 +107,7 @@ class SimulationConfig:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if not 0 <= self.seed <= _MAX_SEED:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.event.validate_for(self.n)
         if self.use_oracle and self.n > ORACLE_MAX_N:

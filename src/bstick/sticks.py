@@ -226,7 +226,14 @@ def all_k_subsets_polygon(s, k: int) -> bool:
 
 
 def exists_k_polygon_windowed(s, k: int) -> bool:
-    """True iff some window of k consecutive sorted spacings forms a k-gon."""
+    """True iff some window of k consecutive sorted spacings forms a k-gon.
+
+    This is the existence event for every k, not only k = 3.  If a k-subset
+    whose largest piece sits at sorted position i forms a k-gon, then so do
+    the k-1 pieces just below i: they are the largest pieces below i, so
+    their sum is at least that of the subset's other k-1 pieces, which is at
+    least the piece at i.  Conversely a window is itself a k-subset.
+    """
     row = _as_row(s)
     _check_k(k, row.shape[1])
     return bool(_polygon_indicator(EventKind.EXISTS_K, row, k)[0])

@@ -1,17 +1,22 @@
 """Cross-validation harness: every closed form against an independent oracle.
 
-Four suites:
+Four suites (SUITES, in the order "all" runs them):
 
 * exact      -- pairwise rational equalities between the general formula and
-                the specialized closed forms (residual must be exactly 0);
+                the specialized closed forms (residual must be exactly 0),
+                one per exact.FORMULAS entry with a check and each n <= n_max;
 * identities -- exact self-tests of the combinatorial identities the formulas
-                rest on;
+                rest on; the kernel recurrences are one table (_RECURRENCES)
+                of name -> (cases, identity), run by one loop;
 * lemma3     -- adaptive quadrature of the iterated integral that powers the
                 general formula, against its exact closed value;
-* mc         -- Monte Carlo estimates against exact values, plus agreement
-                between the two sampler models.
+* mc         -- Monte Carlo estimates against exact values, one list of
+                (check id, n, event, exact value) run by one loop, plus
+                agreement between the two sampler models.
 
-Each suite returns a VerificationReport of VerificationEntry records.
+Each suite returns a VerificationReport of VerificationEntry records, all
+built by _entry.  run_all is the one dispatcher: it checks the arguments of
+every selected suite (check_exact_args, check_mc_args) before any suite runs.
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ from fractions import Fraction
 
 from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
-from .montecarlo import MAX_WORKERS, SimulationConfig, estimate
+from .montecarlo import MAX_SEED, MAX_WORKERS, SimulationConfig, estimate
 from .sticks import EventSpec, SamplerModel
 
 __all__ = [
     "VerificationEntry",
     "VerificationReport",
+    "SUITES",
+    "check_exact_args",
     "run_exact_crosschecks",
     "run_identity_selftests",
     "lemma3_residual",
@@ -42,8 +49,6 @@ __all__ = [
 ]
 
 LEMMA3_TOLERANCES = {4: 1e-8, 5: 1e-6, 6: 1e-5}
-
-_MAX_SEED = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -93,17 +98,42 @@ class VerificationReport:
         return sorted(self.entries, key=lambda e: e.check_id)
 
 
-def _exact_entry(check_id: str, expected: Fraction, actual: Fraction, t0: float) -> VerificationEntry:
-    equal = expected == actual
+def _entry(
+    check_id: str, expected: object, actual: object, residual: float, tolerance: float,
+    t0: float, passed: bool | None = None,
+) -> VerificationEntry:
+    """The one builder of entries; passes iff residual <= tolerance unless told."""
     return VerificationEntry(
         check_id=check_id,
         expected=str(expected),
         actual=str(actual),
-        residual=0.0 if equal else float(abs(expected - actual)),
-        tolerance=0.0,
-        passed=equal,
+        residual=residual,
+        tolerance=tolerance,
+        passed=residual <= tolerance if passed is None else passed,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
+
+
+def _exact_entry(
+    check_id: str, expected: Fraction, actual: Fraction, t0: float
+) -> VerificationEntry:
+    # Equality decides: a nonzero difference can round to a residual of 0.0.
+    equal = expected == actual
+    residual = 0.0 if equal else float(abs(expected - actual))
+    return _entry(check_id, expected, actual, residual, 0.0, t0, passed=equal)
+
+
+def check_exact_args(n_max: int) -> None:
+    """Reject arguments of the exact suite before any suite runs.
+
+    n_max above exact.DEFAULT_N_CAP raises CapExceededError: the closed forms
+    run at their default cap, which bounds the suite's time.
+    """
+    if n_max < 5:
+        raise ValueError("n_max must be >= 5")
+    if n_max > exact.DEFAULT_N_CAP:
+        raise exact.CapExceededError(
+            f"n_max={n_max} exceeds the exact-arithmetic cap {exact.DEFAULT_N_CAP}")
 
 
 def run_exact_crosschecks(n_max: int) -> VerificationReport:
@@ -113,42 +143,54 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
     k for every n >= k.  The Whitworth survivor at x = 1/2 is held to
     n / 2^(n-1) from n = 2, where Theorem 1 is undefined.
     """
-    if n_max < 5:
-        raise ValueError("n_max must be >= 5")
+    check_exact_args(n_max)
     report = VerificationReport()
     for n in range(2, n_max + 1):
         t0 = time.perf_counter()
         report.add(_exact_entry(
             f"exact/whitworth-half/n={n:02d}",
             Fraction(n, 2 ** (n - 1)),
-            exact.whitworth_survivor(n, Fraction(1, 2), cap=max(n, exact.DEFAULT_N_CAP)),
+            exact.whitworth_survivor(n, Fraction(1, 2)),
             t0,
         ))
     for n in range(3, n_max + 1):
-        cap = max(n, exact.DEFAULT_N_CAP)
         for formula in exact.FORMULAS.values():
             if formula.check is None or formula.k_of_n(n) > n:
                 continue
             t0 = time.perf_counter()
             report.add(_exact_entry(
                 f"exact/{formula.check}/n={n:02d}",
-                formula.evaluate(n, None, cap),
-                exact.prob_all_kgon(formula.k_of_n(n), n, cap=cap),
+                formula.evaluate(n, None, exact.DEFAULT_N_CAP),
+                exact.prob_all_kgon(formula.k_of_n(n), n),
                 t0,
             ))
     return report
 
 
-def _aggregate_entry(check_id: str, failures: int, cases: int, t0: float) -> VerificationEntry:
-    return VerificationEntry(
-        check_id=check_id,
-        expected=f"0 failures in {cases} cases",
-        actual=f"{failures} failures in {cases} cases",
-        residual=float(failures),
-        tolerance=0.0,
-        passed=failures == 0,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+_XS = (Fraction(3, 2), Fraction(7, 5), Fraction(1, 3), Fraction(11, 4))
+
+# Recurrence checks: name -> (cases, identity).  Each is one entry counting
+# the cases where the identity fails.  The lambdas look pochhammer, beta_int,
+# binomial and fibonacci up in this module's globals at call time, so a
+# rebinding of a module attribute (the benchmark's tracer) sees every call.
+_RECURRENCES = {
+    "pochhammer-recurrence": (
+        [(x, m) for x in _XS for m in range(21)],
+        lambda x, m: pochhammer(x, m + 1) == pochhammer(x, m) * (x + m),
+    ),
+    "beta-pochhammer-product": (
+        [(a, x) for a in range(1, 13) for x in _XS],
+        lambda a, x: beta_int(a, x) * pochhammer(x, a) == math.factorial(a - 1),
+    ),
+    "pascal-recurrence": (
+        [(n, j) for n in range(1, 41) for j in range(1, n + 1)],
+        lambda n, j: binomial(n, j) == binomial(n - 1, j - 1) + binomial(n - 1, j),
+    ),
+    "fibonacci-recurrence": (
+        [(j,) for j in range(3, 91)],
+        lambda j: fibonacci(j) == fibonacci(j - 1) + fibonacci(j - 2),
+    ),
+}
 
 
 def run_identity_selftests() -> VerificationReport:
@@ -157,51 +199,16 @@ def run_identity_selftests() -> VerificationReport:
     for k in range(4, 21):
         t0 = time.perf_counter()
         ok = exact.alternating_factorial_identity(k)
-        report.add(VerificationEntry(
-            check_id=f"identity/alt-factorial/k={k:02d}",
-            expected=str(Fraction(1, math.factorial(k - 2))),
-            actual="equal" if ok else "mismatch",
-            residual=0.0 if ok else 1.0,
-            tolerance=0.0,
-            passed=ok,
-            runtime_ms=int((time.perf_counter() - t0) * 1000),
-        ))
-
-    t0 = time.perf_counter()
-    xs = [Fraction(3, 2), Fraction(7, 5), Fraction(1, 3), Fraction(11, 4)]
-    failures = cases = 0
-    for x in xs:
-        for m in range(0, 21):
-            cases += 1
-            if pochhammer(x, m + 1) != pochhammer(x, m) * (x + m):
-                failures += 1
-    report.add(_aggregate_entry("identity/pochhammer-recurrence", failures, cases, t0))
-
-    t0 = time.perf_counter()
-    failures = cases = 0
-    for a in range(1, 13):
-        for x in xs:
-            cases += 1
-            if beta_int(a, x) * pochhammer(x, a) != math.factorial(a - 1):
-                failures += 1
-    report.add(_aggregate_entry("identity/beta-pochhammer-product", failures, cases, t0))
-
-    t0 = time.perf_counter()
-    failures = cases = 0
-    for n in range(1, 41):
-        for j in range(1, n + 1):
-            cases += 1
-            if binomial(n, j) != binomial(n - 1, j - 1) + binomial(n - 1, j):
-                failures += 1
-    report.add(_aggregate_entry("identity/pascal-recurrence", failures, cases, t0))
-
-    t0 = time.perf_counter()
-    failures = cases = 0
-    for j in range(3, 91):
-        cases += 1
-        if fibonacci(j) != fibonacci(j - 1) + fibonacci(j - 2):
-            failures += 1
-    report.add(_aggregate_entry("identity/fibonacci-recurrence", failures, cases, t0))
+        report.add(_entry(f"identity/alt-factorial/k={k:02d}",
+                          Fraction(1, math.factorial(k - 2)),
+                          "equal" if ok else "mismatch", 0.0 if ok else 1.0, 0.0, t0))
+    for name, (cases, identity) in _RECURRENCES.items():
+        t0 = time.perf_counter()
+        failures = len(cases) - sum(itertools.starmap(identity, cases))
+        report.add(_entry(f"identity/{name}",
+                          f"0 failures in {len(cases)} cases",
+                          f"{failures} failures in {len(cases)} cases",
+                          float(failures), 0.0, t0))
     return report
 
 
@@ -286,48 +293,20 @@ def run_lemma3_checks(
                     with warnings.catch_warnings():
                         warnings.simplefilter("error", integrate.IntegrationWarning)
                         residual = lemma3_residual(k, n, j)
-                    passed = residual <= tol
                     actual = f"residual={residual:.3e}"
                 except Exception as err:  # quadrature warnings escalated above
                     residual = math.inf
-                    passed = False
                     actual = f"quadrature failed: {err}"
-                report.add(VerificationEntry(
-                    check_id=f"lemma3/k={k}/n={n}/j={j}",
-                    expected=str(closed),
-                    actual=actual,
-                    residual=residual,
-                    tolerance=tol,
-                    passed=passed,
-                    runtime_ms=int((time.perf_counter() - t0) * 1000),
-                ))
+                report.add(_entry(f"lemma3/k={k}/n={n}/j={j}", closed, actual,
+                                  residual, tol, t0))
     return report
-
-
-def _mc_entry(
-    check_id: str, exact_p: Fraction, config: SimulationConfig, workers: int
-) -> VerificationEntry:
-    t0 = time.perf_counter()
-    res = estimate(config, workers=workers)
-    p = float(exact_p)
-    tol = 5.0 * math.sqrt(p * (1.0 - p) / config.trials)
-    residual = abs(res.p_hat - p)
-    return VerificationEntry(
-        check_id=check_id,
-        expected=str(exact_p),
-        actual=f"{res.p_hat:.12g}",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
 
 
 def _mix64(seed: int) -> int:
     """SplitMix64 finalizer; derives the second model's seed for equivalence runs."""
-    z = (seed + 0x9E3779B97F4A7C15) & _MAX_SEED
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
+    z = (seed + 0x9E3779B97F4A7C15) & MAX_SEED
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MAX_SEED
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MAX_SEED
     return z ^ (z >> 31)
 
 
@@ -350,16 +329,13 @@ def sampler_equivalence_test(
                          trials=trials, seed=_mix64(seed)),
         workers=workers,
     )
-    diff = abs(res_a.p_hat - res_b.p_hat)
-    tol = 5.0 * math.sqrt(res_a.std_error**2 + res_b.std_error**2)
-    return VerificationEntry(
-        check_id=f"mc/sampler-equivalence/{event.label()}/n={n}",
-        expected=f"{res_a.p_hat:.12g}",
-        actual=f"{res_b.p_hat:.12g}",
-        residual=diff,
-        tolerance=tol,
-        passed=diff <= tol,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    return _entry(
+        f"mc/sampler-equivalence/{event.label()}/n={n}",
+        f"{res_a.p_hat:.12g}",
+        f"{res_b.p_hat:.12g}",
+        abs(res_a.p_hat - res_b.p_hat),
+        5.0 * math.sqrt(res_a.std_error**2 + res_b.std_error**2),
+        t0,
     )
 
 
@@ -367,7 +343,7 @@ def check_mc_args(trials: int, seed: int, workers: int) -> None:
     """Reject arguments of the mc suite before any suite runs."""
     if trials < 10**4:
         raise ValueError("trials must be >= 10^4")
-    if not 0 <= seed <= _MAX_SEED:
+    if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
@@ -378,57 +354,72 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
 
     Pass band is 5 binomial standard errors around the exact probability
     (false-failure odds about 6e-7 per entry).  The runs take the seeds
-    seed, seed + 1, ... modulo 2^64, in order.
+    seed, seed + 1, ... modulo 2^64, in order: first the estimates against
+    exact values, then the sampler-equivalence pairs.
     """
     check_mc_args(trials, seed, workers)
+    # (check id, n, event, exact value), in stream order.
+    against_exact = [
+        *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k), exact.prob_all_kgon(k, n))
+          for n in range(3, 9) for k in range(3, n + 1)),
+        *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x),
+           exact.whitworth_survivor(n, x))
+          for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4)))),
+        *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3), exact.prob_exists_triangle(n))
+          for n in (4, 5)),
+    ]
+    # (n, event) of each sampler-equivalence pair, in stream order.
+    equivalences = [
+        (5, EventSpec.all_k_subsets(3)),
+        (6, EventSpec.all_k_subsets(4)),
+        (7, EventSpec.all_k_subsets(5)),
+        (6, EventSpec.max_spacing(Fraction(1, 2))),
+    ]
     report = VerificationReport()
-    streams = ((seed + i) & _MAX_SEED for i in itertools.count())
-
-    for n in range(3, 9):
-        for k in range(3, n + 1):
-            report.add(_mc_entry(
-                f"mc/all/k={k}/n={n}",
-                exact.prob_all_kgon(k, n),
-                SimulationConfig(n=n, event=EventSpec.all_k_subsets(k),
-                                 model=SamplerModel.UNIFORM_BREAKS,
-                                 trials=trials, seed=next(streams)),
-                workers,
-            ))
-
-    for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4))):
-        report.add(_mc_entry(
-            f"mc/whitworth/n={n}/x={x}",
-            exact.whitworth_survivor(n, x),
-            SimulationConfig(n=n, event=EventSpec.max_spacing(x),
-                             model=SamplerModel.UNIFORM_BREAKS,
+    streams = ((seed + i) & MAX_SEED for i in itertools.count())
+    for check_id, n, event, exact_p in against_exact:
+        t0 = time.perf_counter()
+        res = estimate(
+            SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
                              trials=trials, seed=next(streams)),
-            workers,
-        ))
-
-    for n in (4, 5):
-        report.add(_mc_entry(
-            f"mc/exists/k=3/n={n}",
-            exact.prob_exists_triangle(n),
-            SimulationConfig(n=n, event=EventSpec.exists_k(3),
-                             model=SamplerModel.UNIFORM_BREAKS,
-                             trials=trials, seed=next(streams)),
-            workers,
-        ))
-
-    for k, n in ((3, 5), (4, 6), (5, 7)):
-        report.add(sampler_equivalence_test(
-            n, EventSpec.all_k_subsets(k), trials, next(streams), workers=workers))
-    report.add(sampler_equivalence_test(
-        6, EventSpec.max_spacing(Fraction(1, 2)), trials, next(streams), workers=workers))
+            workers=workers,
+        )
+        p = float(exact_p)
+        report.add(_entry(check_id, exact_p, f"{res.p_hat:.12g}", abs(res.p_hat - p),
+                          5.0 * math.sqrt(p * (1.0 - p) / trials), t0))
+    for n, event in equivalences:
+        report.add(sampler_equivalence_test(n, event, trials, next(streams), workers=workers))
     return report
 
 
-def run_all(n_max: int = 20, trials: int = 10**5, seed: int = 0, workers: int = 1) -> VerificationReport:
-    """The full default suite; completes in well under five minutes."""
-    check_mc_args(trials, seed, workers)
+# The suites in the order "all" runs them.
+SUITES = ("exact", "identities", "lemma3", "mc")
+
+
+def run_all(
+    n_max: int = 20, trials: int = 10**5, seed: int = 0, workers: int = 1, suite: str = "all"
+) -> VerificationReport:
+    """Run one suite of SUITES, or all of them in order (suite="all").
+
+    This is the only dispatcher: the arguments of every selected suite are
+    checked before any suite runs.  Each suite function is looked up in this
+    module's globals when it runs, so a rebinding (the benchmark's tracer, a
+    test) sees the call.  The full default run takes well under five minutes.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    selected = SUITES if suite == "all" else (suite,)
+    if "exact" in selected:
+        check_exact_args(n_max)
+    if "mc" in selected:
+        check_mc_args(trials, seed, workers)
+    runners = {
+        "exact": lambda: run_exact_crosschecks(n_max),
+        "identities": lambda: run_identity_selftests(),
+        "lemma3": lambda: run_lemma3_checks(),
+        "mc": lambda: run_mc_crosschecks(trials, seed, workers=workers),
+    }
     report = VerificationReport()
-    report.extend(run_exact_crosschecks(n_max))
-    report.extend(run_identity_selftests())
-    report.extend(run_lemma3_checks())
-    report.extend(run_mc_crosschecks(trials, seed, workers=workers))
+    for name in selected:
+        report.extend(runners[name]())
     return report

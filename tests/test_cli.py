@@ -7,6 +7,10 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,24 @@ def test_table_skips_cells_above_the_diagonal(capsys):
     assert by_cell[(5, 5)] == "11/16"
 
 
+def test_table_does_not_walk_k_beyond_the_largest_n():
+    """A huge --k range gives the records of --k 3:5 at once, not after
+    walking every empty cell (run in a subprocess so a hang cannot stall
+    the suite)."""
+    env = dict(os.environ)
+    src = str(Path(exact.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def records(k_range):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bstick.cli", "table", "--k", k_range, "--n", "3:5"],
+            capture_output=True, text=True, env=env, timeout=30, check=True)
+        return [{f: v for f, v in rec.items() if f != "timestamp"}
+                for rec in records_of(proc.stdout)]
+
+    assert records("3:1000000000000000000") == records("3:5")
+
+
 def test_table_single_point_and_bad_ranges(capsys):
     code, out, _ = run(capsys, "table", "--k", "4", "--n", "6")
     assert code == EXIT_OK
@@ -366,15 +388,20 @@ def test_verify_mc_suite_small(capsys):
     assert all(e["passed"] for e in json.loads(out))
 
 
-@pytest.mark.parametrize("bad", [["--workers", "65"], ["--workers", "0"],
-                                 ["--trials", "100"], ["--seed", "-1"]])
+@pytest.mark.parametrize("bad", [(["--workers", "65"], EXIT_USAGE),
+                                 (["--workers", "0"], EXIT_USAGE),
+                                 (["--trials", "100"], EXIT_USAGE),
+                                 (["--seed", "-1"], EXIT_USAGE),
+                                 (["--n-max", "201"], EXIT_CAP),
+                                 (["--n-max", "4"], EXIT_USAGE)])
 def test_verify_rejects_bad_mc_arguments_before_any_suite(capsys, monkeypatch, bad):
+    argv, expected_code = bad
     called = []
     for suite in ("run_exact_crosschecks", "run_identity_selftests",
                   "run_lemma3_checks", "run_mc_crosschecks"):
         monkeypatch.setattr(verify, suite, lambda *a, _suite=suite, **kw: called.append(_suite))
-    code, out, _ = run(capsys, "verify", "--suite", "all", *bad)
-    assert code == EXIT_USAGE and out == ""
+    code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
+    assert code == expected_code and out == ""
     assert called == []
 
 

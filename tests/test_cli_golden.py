@@ -1,7 +1,11 @@
 """CLI output pinned byte for byte, apart from the timestamp and runtime fields.
 
 The files under tests/data/ were written by the CLI before the closed forms
-moved into one registry (exact.FORMULAS); regenerate one with
+moved into one registry (exact.FORMULAS); the verify-mc and simulate files
+before verify got its one suite runner.  The Monte Carlo outputs are pinned
+too: their streams are bit-identical by contract.  Lemma 3 is left out, since
+its residuals depend on the quadrature library's floating-point bits.
+Regenerate a file with
 ``python -m bstick.cli ARGS --format FMT > tests/data/NAME.FMT`` only when a
 change to the output is intended.
 """
@@ -26,6 +30,11 @@ COMMANDS = {
     "table": ["table", "--k", "3:6", "--n", "3:9"],
     "verify-exact": ["verify", "--suite", "exact", "--n-max", "12"],
     "verify-identities": ["verify", "--suite", "identities"],
+    "verify-mc": ["verify", "--suite", "mc", "--trials", "10000", "--seed", "3"],
+    "simulate-all": ["simulate", "--n", "5", "--event", "all", "--k", "3",
+                     "--trials", "100000", "--seed", "7"],
+    "simulate-max-spacing": ["simulate", "--n", "6", "--event", "max-spacing", "--x", "1/2",
+                             "--model", "exponential", "--trials", "100000", "--seed", "7"],
 }
 
 MASKED = ("timestamp", "runtime_ms")

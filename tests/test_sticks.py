@@ -255,11 +255,14 @@ def test_windowed_exists_matches_oracle_for_k3_wide():
 
 
 def test_windowed_exists_k4_and_up_logged_against_oracle():
-    """For k >= 4 the windowed scan is not assumed equivalent to the existence
-    event: the oracle is authoritative, and any disagreement is reported as a
-    warning with the offending vector.  A window is itself a subset, so the
-    windowed predicate can never claim a polygon the oracle rejects; only that
-    impossible direction is a hard failure."""
+    """The windowed scan is the existence event for every k (see
+    exists_k_polygon_windowed): if a k-subset whose largest piece sits at
+    sorted position i forms a k-gon, so do the k-1 pieces just below i.  For
+    k >= 4 any disagreement with the oracle, which could only come from sums
+    rounded in a different order at the boundary, is reported as a warning
+    with the offending vector.  A window is itself a subset, so the windowed
+    predicate can never claim a polygon the oracle rejects; that direction is
+    a hard failure."""
     rng = np.random.default_rng(23)
     disagreements = []
     for n in range(4, 11):

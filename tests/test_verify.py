@@ -19,6 +19,7 @@ from bstick.verify import (
     run_exact_crosschecks,
     run_identity_selftests,
     run_lemma3_checks,
+    run_all,
     run_mc_crosschecks,
 )
 
@@ -151,6 +152,19 @@ assert "scipy" not in sys.modules, "bstick simulate loaded scipy"
 bstick.verify.lemma3_residual(4, 5, 1)
 assert "scipy" in sys.modules
 """
+
+
+def test_run_all_runs_the_four_suites_in_order():
+    expected = [
+        e.check_id
+        for report in (run_exact_crosschecks(5), run_identity_selftests(),
+                       run_lemma3_checks(), run_mc_crosschecks(10**4, 0))
+        for e in report
+    ]
+    report = run_all(n_max=5, trials=10**4, seed=0)
+    assert [e.check_id for e in report] == expected
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_all(suite="bogus")
 
 
 def test_scipy_is_loaded_only_by_the_quadrature():
