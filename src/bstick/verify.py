@@ -8,30 +8,42 @@ Four suites (SUITES, in the order "all" runs them):
 * identities -- exact self-tests of the combinatorial identities the formulas
                 rest on; the kernel recurrences are one table (_RECURRENCES)
                 of name -> (cases, identity), run by one loop;
-* lemma3     -- adaptive quadrature of the iterated integral that powers the
-                general formula, against its exact closed value;
-* mc         -- Monte Carlo estimates against exact values, one list of
-                (check id, n, event, exact value) run by one loop, plus
-                agreement between the two sampler models.
+* lemma3     -- tensor-product Gauss-Legendre quadrature, in numpy, of the
+                iterated integral that powers the general formula, against
+                its exact closed value;
+* mc         -- Monte Carlo estimates against exact values, one module-level
+                list of (check id, n, event) run by one loop, plus agreement
+                between the two sampler models.
 
 Each suite returns a VerificationReport of VerificationEntry records, all
 built by _entry.  run_all is the one dispatcher: it checks the arguments of
-every selected suite (check_exact_args, check_mc_args) before any suite runs.
+every selected suite (check_exact_args, check_mc_args, the latter including
+the trial budget at the grid's largest n) before any suite runs.  The runtime
+needs numpy and the standard library only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
-from .montecarlo import MAX_SEED, MAX_WORKERS, SimulationConfig, estimate
-from .sticks import EventSpec, SamplerModel
+from .montecarlo import (
+    DEFAULT_TRIAL_BUDGET,
+    MAX_SEED,
+    MAX_WORKERS,
+    BudgetExceededError,
+    SimulationConfig,
+    estimate,
+)
+from .sticks import EventKind, EventSpec, SamplerModel
 
 __all__ = [
     "VerificationEntry",
@@ -40,6 +52,7 @@ __all__ = [
     "check_exact_args",
     "run_exact_crosschecks",
     "run_identity_selftests",
+    "QuadratureError",
     "lemma3_residual",
     "run_lemma3_checks",
     "check_mc_args",
@@ -49,6 +62,17 @@ __all__ = [
 ]
 
 LEMMA3_TOLERANCES = {4: 1e-8, 5: 1e-6, 6: 1e-5}
+
+# The Lemma 3 rule: Gauss-Legendre with LEMMA3_NODES nodes on each of
+# LEMMA3_PANELS panels of [0, 1], each panel twice as wide as the one before
+# it.  Its error estimate is the difference from the rule with 2/3 as many
+# nodes per panel; above LEMMA3_ERROR_BOUND, four orders below the tightest
+# tolerance, the check cannot tell a wrong closed value from a coarse rule, so
+# the entry fails.  Measured on k <= 5, n <= 30 and k = 6, n <= 14 (every j):
+# the estimate stays below 1.2e-13 and the residual below 1.4e-17.
+LEMMA3_NODES = 12
+LEMMA3_PANELS = 6
+LEMMA3_ERROR_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,6 +241,51 @@ def lemma3_closed_value(k: int, n: int, j: int) -> Fraction:
     return -Fraction(1, j ** (k - 3)) / pochhammer(Fraction(n - k + 2, j) + 1, k - 2)
 
 
+class QuadratureError(ArithmeticError):
+    """The Lemma 3 rule's error estimate exceeds LEMMA3_ERROR_BOUND."""
+
+
+@functools.cache
+def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the composite rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.concatenate(([0.0], 2.0 ** np.arange(1 - LEMMA3_PANELS, 1)))
+    half = np.diff(edges)[:, None] / 2
+    t = (edges[:-1, None] + half * (x + 1)).ravel()
+    wt = (half * w).ravel()
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
+def _nested_quadrature(k: int, n: int, j: int, nodes: int) -> float:
+    """The iterated integral by the tensor-product rule, `nodes` per panel.
+
+    With d = k - 3 variables y_1 > ... > y_d > 0 the integrand is
+
+        e^(-lam*y_1) * e^(-j*(y_1 + ... + y_(d-1))) * (e^(-2j*y_d) - e^(-j*y_d)),
+
+    lam = n - k + 2.  Level 1 spans [0, x_max]; each inner level is mapped
+    onto [0, y] of its parent node y, so level i holds an array of shape
+    (m,) * i for m nodes per level.  Each level takes one np.exp call, and
+    the levels are summed from the innermost out.
+    """
+    t, w = _panel_rule(nodes)
+    lam = n - k + 2
+    depth = k - 3
+    x_max = -math.log(1e-16) / lam
+    ys, ws = [x_max * t], [x_max * w]
+    for _ in range(depth - 1):
+        ws.append(ys[-1][..., None] * w)
+        ys.append(ys[-1][..., None] * t)
+    base = lam if depth == 1 else 0
+    terms = np.exp(np.multiply.outer([-(base + 2 * j), -(base + j)], ys[-1]))
+    acc = ((terms[0] - terms[1]) * ws[-1]).sum(axis=-1)
+    for level in range(depth - 2, -1, -1):
+        rate = j + (lam if level == 0 else 0)
+        acc = (np.exp(-rate * ys[level]) * ws[level] * acc).sum(axis=-1)
+    return float(acc)
+
+
 def lemma3_residual(k: int, n: int, j: int) -> float:
     """|quadrature(LHS) - exact(RHS)| for the iterated-integral identity.
 
@@ -227,7 +296,10 @@ def lemma3_residual(k: int, n: int, j: int) -> float:
     where I_inner nests k-4 more integrals of
     e^(-j(2*x2 + x3 + ... )) - e^(-j(x2 + ... )) over 0 < x2 < ... < x.
     The outer integral is truncated where its exponential weight falls
-    below 1e-16; inner regions keep their exact bounds.
+    below 1e-16; inner regions keep their exact bounds.  The quadrature is
+    the numpy rule of _nested_quadrature with LEMMA3_NODES nodes per panel.
+    Raises QuadratureError when the rule's error estimate, its difference
+    from the rule with 2/3 as many nodes, exceeds LEMMA3_ERROR_BOUND.
     """
     if k not in (4, 5, 6):
         raise ValueError("quadrature check supports k in {4, 5, 6}")
@@ -235,39 +307,11 @@ def lemma3_residual(k: int, n: int, j: int) -> float:
         raise ValueError("need n >= k")
     if not 1 <= j <= n - k + 2:
         raise ValueError("need 1 <= j <= n-k+2")
-    # scipy is loaded here, not at import: only the quadrature needs it.
-    from scipy import integrate
-
-    lam = n - k + 2
-    x_max = -math.log(1e-16) / lam
-
-    if k == 4:
-        def outer(x: float) -> float:
-            return math.exp(-lam * x) * (math.exp(-2 * j * x) - math.exp(-j * x))
-    elif k == 5:
-        def inner(x3: float) -> float:
-            f = lambda x2: math.exp(-j * (2 * x2 + x3)) - math.exp(-j * (x2 + x3))
-            val, _ = integrate.quad(f, 0.0, x3, epsabs=1e-12, epsrel=1e-11)
-            return val
-
-        def outer(x: float) -> float:
-            return math.exp(-lam * x) * inner(x)
-    else:
-        def inner2(x3: float, x4: float) -> float:
-            f = lambda x2: (
-                math.exp(-j * (2 * x2 + x3 + x4)) - math.exp(-j * (x2 + x3 + x4))
-            )
-            val, _ = integrate.quad(f, 0.0, x3, epsabs=1e-12, epsrel=1e-11)
-            return val
-
-        def inner(x4: float) -> float:
-            val, _ = integrate.quad(inner2, 0.0, x4, args=(x4,), epsabs=1e-11, epsrel=1e-10)
-            return val
-
-        def outer(x: float) -> float:
-            return math.exp(-lam * x) * inner(x)
-
-    lhs, _ = integrate.quad(outer, 0.0, x_max, epsabs=1e-12, epsrel=1e-11, limit=200)
+    lhs = _nested_quadrature(k, n, j, LEMMA3_NODES)
+    error = abs(lhs - _nested_quadrature(k, n, j, 2 * LEMMA3_NODES // 3))
+    if not error <= LEMMA3_ERROR_BOUND:
+        raise QuadratureError(
+            f"error estimate {error:.3e} exceeds {LEMMA3_ERROR_BOUND:.0e}")
     rhs = float(lemma3_closed_value(k, n, j))
     return abs(lhs - rhs)
 
@@ -277,11 +321,10 @@ def run_lemma3_checks(
 ) -> VerificationReport:
     """Quadrature residual entries over a (k, n, j) grid.
 
-    Quadrature trouble (warnings or failure to converge) marks the entry
-    failed rather than raising.
+    A quadrature whose error estimate is too large (QuadratureError) marks
+    the entry failed, with actual "quadrature failed: ...", rather than
+    raising.
     """
-    from scipy import integrate
-
     report = VerificationReport()
     for k in k_values:
         tol = LEMMA3_TOLERANCES[k]
@@ -290,11 +333,9 @@ def run_lemma3_checks(
                 t0 = time.perf_counter()
                 closed = lemma3_closed_value(k, n, j)
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error", integrate.IntegrationWarning)
-                        residual = lemma3_residual(k, n, j)
+                    residual = lemma3_residual(k, n, j)
                     actual = f"residual={residual:.3e}"
-                except Exception as err:  # quadrature warnings escalated above
+                except QuadratureError as err:
                     residual = math.inf
                     actual = f"quadrature failed: {err}"
                 report.add(_entry(f"lemma3/k={k}/n={n}/j={j}", closed, actual,
@@ -339,14 +380,50 @@ def sampler_equivalence_test(
     )
 
 
+# The mc grid, in stream order: the runs take the seeds seed, seed + 1, ...
+# first the estimates held to exact values, then the sampler-equivalence pairs.
+# (check id, n, event) of each estimate held to an exact value.
+_MC_AGAINST_EXACT = [
+    *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k))
+      for n in range(3, 9) for k in range(3, n + 1)),
+    *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x))
+      for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4)))),
+    *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3)) for n in (4, 5)),
+]
+# (n, event) of each sampler-equivalence pair.
+_MC_EQUIVALENCES = [
+    (5, EventSpec.all_k_subsets(3)),
+    (6, EventSpec.all_k_subsets(4)),
+    (7, EventSpec.all_k_subsets(5)),
+    (6, EventSpec.max_spacing(Fraction(1, 2))),
+]
+
+
+def _exact_probability(n: int, event: EventSpec) -> Fraction:
+    """The exact value an mc estimate of _MC_AGAINST_EXACT is held to."""
+    if event.kind is EventKind.MAX_SPACING:
+        return exact.whitworth_survivor(n, event.x)
+    if event.kind is EventKind.EXISTS_K:
+        return exact.prob_exists_triangle(n)  # the grid holds k = 3 only
+    return exact.prob_all_kgon(event.k, n)
+
+
 def check_mc_args(trials: int, seed: int, workers: int) -> None:
-    """Reject arguments of the mc suite before any suite runs."""
+    """Reject arguments of the mc suite before any suite runs.
+
+    trials * n above DEFAULT_TRIAL_BUDGET at the grid's largest n raises
+    BudgetExceededError, as the first estimate at that n would.
+    """
     if trials < 10**4:
         raise ValueError("trials must be >= 10^4")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+    max_n = max(*(n for _, n, _ in _MC_AGAINST_EXACT), *(n for n, _ in _MC_EQUIVALENCES))
+    if trials * max_n > DEFAULT_TRIAL_BUDGET:
+        raise BudgetExceededError(
+            f"trials*n = {trials * max_n} at n = {max_n} exceeds budget {DEFAULT_TRIAL_BUDGET}")
 
 
 def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> VerificationReport:
@@ -354,30 +431,14 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
 
     Pass band is 5 binomial standard errors around the exact probability
     (false-failure odds about 6e-7 per entry).  The runs take the seeds
-    seed, seed + 1, ... modulo 2^64, in order: first the estimates against
-    exact values, then the sampler-equivalence pairs.
+    seed, seed + 1, ... modulo 2^64, in the order of _MC_AGAINST_EXACT and
+    then _MC_EQUIVALENCES.
     """
     check_mc_args(trials, seed, workers)
-    # (check id, n, event, exact value), in stream order.
-    against_exact = [
-        *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k), exact.prob_all_kgon(k, n))
-          for n in range(3, 9) for k in range(3, n + 1)),
-        *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x),
-           exact.whitworth_survivor(n, x))
-          for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4)))),
-        *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3), exact.prob_exists_triangle(n))
-          for n in (4, 5)),
-    ]
-    # (n, event) of each sampler-equivalence pair, in stream order.
-    equivalences = [
-        (5, EventSpec.all_k_subsets(3)),
-        (6, EventSpec.all_k_subsets(4)),
-        (7, EventSpec.all_k_subsets(5)),
-        (6, EventSpec.max_spacing(Fraction(1, 2))),
-    ]
     report = VerificationReport()
     streams = ((seed + i) & MAX_SEED for i in itertools.count())
-    for check_id, n, event, exact_p in against_exact:
+    for check_id, n, event in _MC_AGAINST_EXACT:
+        exact_p = _exact_probability(n, event)
         t0 = time.perf_counter()
         res = estimate(
             SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
@@ -387,7 +448,7 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
         p = float(exact_p)
         report.add(_entry(check_id, exact_p, f"{res.p_hat:.12g}", abs(res.p_hat - p),
                           5.0 * math.sqrt(p * (1.0 - p) / trials), t0))
-    for n, event in equivalences:
+    for n, event in _MC_EQUIVALENCES:
         report.add(sampler_equivalence_test(n, event, trials, next(streams), workers=workers))
     return report
 

@@ -393,7 +393,8 @@ def test_verify_mc_suite_small(capsys):
                                  (["--trials", "100"], EXIT_USAGE),
                                  (["--seed", "-1"], EXIT_USAGE),
                                  (["--n-max", "201"], EXIT_CAP),
-                                 (["--n-max", "4"], EXIT_USAGE)])
+                                 (["--n-max", "4"], EXIT_USAGE),
+                                 (["--trials", "125000001"], EXIT_BUDGET)])
 def test_verify_rejects_bad_mc_arguments_before_any_suite(capsys, monkeypatch, bad):
     argv, expected_code = bad
     called = []

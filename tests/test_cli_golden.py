@@ -4,7 +4,8 @@ The files under tests/data/ were written by the CLI before the closed forms
 moved into one registry (exact.FORMULAS); the verify-mc and simulate files
 before verify got its one suite runner.  The Monte Carlo outputs are pinned
 too: their streams are bit-identical by contract.  Lemma 3 is left out, since
-its residuals depend on the quadrature library's floating-point bits.
+its residuals, near 1e-17, depend on the bits of numpy's SIMD exp, which vary
+with the build and the CPU.
 Regenerate a file with
 ``python -m bstick.cli ARGS --format FMT > tests/data/NAME.FMT`` only when a
 change to the output is intended.

@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import bstick
+from bstick import verify
+from bstick.montecarlo import BudgetExceededError
 from bstick.verify import (
     VerificationEntry,
     VerificationReport,
     LEMMA3_TOLERANCES,
+    check_mc_args,
     lemma3_closed_value,
     lemma3_residual,
     run_exact_crosschecks,
@@ -112,12 +115,42 @@ def test_lemma3_checks_within_tolerance():
     for entry in report:
         k = int(entry.check_id.split("/")[1].split("=")[1])
         assert entry.tolerance == LEMMA3_TOLERANCES[k]
+        assert entry.residual <= 1e-12
 
 
 def test_lemma3_checks_k6_also_available():
-    report = run_lemma3_checks(k_values=(6,), n_max=7, j_max=2)
+    report = run_lemma3_checks(k_values=(6,), n_max=9, j_max=3)
     assert report.all_passed
     assert all(e.check_id.startswith("lemma3/k=6/") for e in report)
+    assert all(e.residual <= 1e-12 for e in report)
+
+
+@pytest.mark.parametrize("k, n, j", [(4, 4, 1), (4, 8, 3), (5, 5, 1), (5, 8, 3)])
+def test_lemma3_check_detects_a_perturbed_closed_value(monkeypatch, k, n, j):
+    closed = lemma3_closed_value(k, n, j)
+    # The residual resolves a relative 1e-6 change of the closed value.
+    monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: closed * (1 + F(1, 10**6)))
+    shift = float(abs(closed)) * 1e-6
+    assert abs(lemma3_residual(k, n, j) - shift) <= 1e-12
+    # An entry fails once the change exceeds its absolute tolerance: at k = 4
+    # a relative 1e-6 does (|closed| >= 1/56 > 1e-2), at k = 5 (tolerance 1e-6,
+    # |closed| <= 1/60) it takes a relative 1e-3.
+    relative = F(1, 10**6) if k == 4 else F(1, 10**3)
+    monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: closed * (1 + relative))
+    entry = run_lemma3_checks(k_values=(k,), n_max=n, j_max=j).entries[-1]
+    assert entry.check_id == f"lemma3/k={k}/n={n}/j={j}"
+    assert not entry.passed and entry.residual > LEMMA3_TOLERANCES[k]
+
+
+def test_lemma3_coarse_rule_fails_entries_without_raising(monkeypatch):
+    monkeypatch.setattr(verify, "LEMMA3_NODES", 2)
+    report = run_lemma3_checks()
+    assert len(report) == 25 and not any(e.passed for e in report)
+    for entry in report:
+        assert entry.actual.startswith("quadrature failed: error estimate ")
+        assert entry.residual == float("inf")
+    with pytest.raises(verify.QuadratureError):
+        lemma3_residual(4, 5, 1)
 
 
 def test_mc_crosschecks_pass_and_are_labeled():
@@ -135,23 +168,17 @@ def test_mc_crosschecks_pass_and_are_labeled():
         run_mc_crosschecks(9_999, seed=0)
 
 
+def test_mc_trial_budget_is_checked_at_the_largest_grid_n():
+    # The grid's largest n is 8, and trials * n may reach DEFAULT_TRIAL_BUDGET = 10^9.
+    check_mc_args(125_000_000, seed=0, workers=1)
+    with pytest.raises(BudgetExceededError, match="at n = 8"):
+        check_mc_args(125_000_001, seed=0, workers=1)
+
+
 def test_mc_crosschecks_deterministic_given_seed():
     a = run_mc_crosschecks(10_000, seed=11)
     b = run_mc_crosschecks(10_000, seed=11, workers=4)
     assert [(e.check_id, e.actual) for e in a] == [(e.check_id, e.actual) for e in b]
-
-
-_LAZY_SCIPY_SCRIPT = """
-import contextlib, io, sys
-import bstick
-assert "scipy" not in sys.modules, "import bstick loaded scipy"
-from bstick.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"]) == 0
-assert "scipy" not in sys.modules, "bstick simulate loaded scipy"
-bstick.verify.lemma3_residual(4, 5, 1)
-assert "scipy" in sys.modules
-"""
 
 
 def test_run_all_runs_the_four_suites_in_order():
@@ -167,11 +194,25 @@ def test_run_all_runs_the_four_suites_in_order():
         run_all(suite="bogus")
 
 
-def test_scipy_is_loaded_only_by_the_quadrature():
-    """A fresh interpreter: import bstick and simulate, then the lemma3 check."""
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from bstick.cli import main
+assert "scipy" not in sys.modules, "import bstick loaded scipy"
+for argv in (["exact", "--formula", "theorem1", "--k", "4", "--n", "9"],
+             ["table", "--k", "3:6", "--n", "3:9"],
+             ["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"],
+             ["verify", "--suite", "all", "--n-max", "5", "--trials", "10000", "--seed", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, f"bstick {argv[0]} loaded scipy"
+"""
+
+
+def test_no_subcommand_loads_scipy():
+    """A fresh interpreter runs every subcommand, verify with all its suites."""
     env = dict(os.environ)
     src = str(Path(bstick.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
