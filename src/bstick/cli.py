@@ -5,7 +5,8 @@ with a fixed header; diagnostics go to stderr.  Identical invocations with
 identical seeds produce byte-identical output except the timestamp field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 exact-
-arithmetic cap exceeded, 4 simulation budget exceeded, 5 I/O error.
+arithmetic cap exceeded or an exact value too long to print, 4 simulation
+budget exceeded, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .montecarlo import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_TRIAL_BUDGET,
     MAX_SEED,
+    MAX_WORKERS,
     BudgetExceededError,
     SimulationConfig,
+    default_workers,
     estimate,
 )
 from .sticks import EventSpec, SamplerModel
@@ -90,6 +93,21 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_printable(value: Fraction) -> None:
+    """Raise CapExceededError if value_exact would be too long to print.
+
+    Python prints an int of at most sys.get_int_max_str_digits() decimal
+    digits (0: no limit) and raises its own ValueError beyond that.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    largest = max(abs(value.numerator), value.denominator)
+    # Fewer than 3 * limit bits is fewer than limit digits, since 2^3 < 10.
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise CapExceededError(
+            f"the exact value has more than {limit} decimal digits, the printable "
+            f"limit (sys.get_int_max_str_digits()); lower --n or --cap")
+
+
 def _default_seed() -> int:
     env = os.environ.get("BSTICK_SEED")
     if env is None:
@@ -116,6 +134,8 @@ def _record(
     seed: int | None = None,
     generator_id: str | None = None,
 ) -> dict[str, Any]:
+    if value_exact is not None:
+        _check_printable(value_exact)
     if value_decimal is None:
         value_decimal = fraction_to_decimal(value_exact)
     return {
@@ -255,6 +275,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         emit_report(report, args.format, sys.stdout)
 
+    for total in report.totals:
+        print(f"suite {total.suite}: {total.checks} checks, {total.failed} failed, "
+              f"{total.runtime_ms} ms", file=sys.stderr)
     failures = report.failures()
     print(f"{len(report.entries)} checks, {len(failures)} failed", file=sys.stderr)
     for entry in failures:
@@ -270,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo estimates, and cross-validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = default_workers()
 
     p_exact = sub.add_parser("exact", help="evaluate one closed-form probability")
     p_exact.add_argument("--formula", required=True, choices=sorted(exact.FORMULAS))
@@ -297,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: BSTICK_SEED environment variable, else 0")
     p_sim.add_argument("--model", choices=["uniform", "exponential"], default="uniform")
     p_sim.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=workers,
+                       help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS}); "
+                            "default: the CPUs this process may use")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)
     p_sim.add_argument("--use-oracle", action="store_true",
                        help="evaluate events by brute-force subset enumeration")
@@ -310,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=20)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=int, default=workers,
+                       help=f"Monte Carlo estimates run at a time (1..{MAX_WORKERS}); "
+                            "default: the CPUs this process may use")
     p_ver.add_argument("--out", help="write the report to this file instead of stdout")
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.set_defaults(func=_cmd_verify)

@@ -23,6 +23,7 @@ the next, so a run does not keep faulting in fresh pages.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, sqrt
@@ -47,6 +48,7 @@ __all__ = [
     "MAX_N",
     "MAX_SEED",
     "MAX_WORKERS",
+    "default_workers",
     "BudgetExceededError",
     "SimulationConfig",
     "EstimateResult",
@@ -82,6 +84,17 @@ MAX_WORKERS = 64
 
 # Largest seed: a seed is one 64-bit word of the generator key.
 MAX_SEED = 2**64 - 1
+
+
+def default_workers() -> int:
+    """The CPUs this process may run on, at most MAX_WORKERS.
+
+    Counted by os.sched_getaffinity where the platform has it, else
+    os.cpu_count().  The CLI's --workers default.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    usable = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
+    return min(usable, MAX_WORKERS)
 
 
 class BudgetExceededError(Exception):

@@ -12,14 +12,17 @@ Four suites (SUITES, in the order "all" runs them):
                 iterated integral that powers the general formula, against
                 its exact closed value;
 * mc         -- Monte Carlo estimates against exact values, one module-level
-                list of (check id, n, event) run by one loop, plus agreement
-                between the two sampler models.
+                list of (check id, n, event), plus agreement between the two
+                sampler models.  Its 34 estimates run whole, `workers` at a
+                time on one thread pool per call; workers never changes a
+                result, since each estimate is bitwise a function of its config.
 
 Each suite returns a VerificationReport of VerificationEntry records, all
 built by _entry.  run_all is the one dispatcher: it checks the arguments of
 every selected suite (check_exact_args, check_mc_args, the latter including
-the trial budget at the grid's largest n) before any suite runs.  The runtime
-needs numpy and the standard library only.
+the trial budget at the grid's largest n) before any suite runs, and records
+each suite's totals (SuiteTotal).  The runtime needs numpy and the standard
+library only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import functools
 import itertools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +44,7 @@ from .montecarlo import (
     MAX_SEED,
     MAX_WORKERS,
     BudgetExceededError,
+    EstimateResult,
     SimulationConfig,
     estimate,
 )
@@ -47,6 +52,7 @@ from .sticks import EventKind, EventSpec, SamplerModel
 
 __all__ = [
     "VerificationEntry",
+    "SuiteTotal",
     "VerificationReport",
     "SUITES",
     "check_exact_args",
@@ -92,11 +98,25 @@ class VerificationEntry:
     runtime_ms: int
 
 
+@dataclass(frozen=True)
+class SuiteTotal:
+    """One suite's share of a run_all report: its checks, failures and wall time."""
+
+    suite: str
+    checks: int
+    failed: int
+    runtime_ms: int
+
+
 @dataclass
 class VerificationReport:
-    """An ordered collection of verification entries."""
+    """An ordered collection of verification entries.
+
+    A report from run_all also holds one SuiteTotal per suite it ran, in order.
+    """
 
     entries: list[VerificationEntry] = field(default_factory=list)
+    totals: list[SuiteTotal] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.entries)
@@ -124,9 +144,12 @@ class VerificationReport:
 
 def _entry(
     check_id: str, expected: object, actual: object, residual: float, tolerance: float,
-    t0: float, passed: bool | None = None,
+    seconds: float, passed: bool | None = None,
 ) -> VerificationEntry:
-    """The one builder of entries; passes iff residual <= tolerance unless told."""
+    """The one builder of entries; passes iff residual <= tolerance unless told.
+
+    `seconds` is the wall time of the check's own work, kept as runtime_ms.
+    """
     return VerificationEntry(
         check_id=check_id,
         expected=str(expected),
@@ -134,17 +157,17 @@ def _entry(
         residual=residual,
         tolerance=tolerance,
         passed=residual <= tolerance if passed is None else passed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
+        runtime_ms=int(seconds * 1000),
     )
 
 
 def _exact_entry(
-    check_id: str, expected: Fraction, actual: Fraction, t0: float
+    check_id: str, expected: Fraction, actual: Fraction, seconds: float
 ) -> VerificationEntry:
     # Equality decides: a nonzero difference can round to a residual of 0.0.
     equal = expected == actual
     residual = 0.0 if equal else float(abs(expected - actual))
-    return _entry(check_id, expected, actual, residual, 0.0, t0, passed=equal)
+    return _entry(check_id, expected, actual, residual, 0.0, seconds, passed=equal)
 
 
 def check_exact_args(n_max: int) -> None:
@@ -175,7 +198,7 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
             f"exact/whitworth-half/n={n:02d}",
             Fraction(n, 2 ** (n - 1)),
             exact.whitworth_survivor(n, Fraction(1, 2)),
-            t0,
+            time.perf_counter() - t0,
         ))
     for n in range(3, n_max + 1):
         for formula in exact.FORMULAS.values():
@@ -186,7 +209,7 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
                 f"exact/{formula.check}/n={n:02d}",
                 formula.evaluate(n, None, exact.DEFAULT_N_CAP),
                 exact.prob_all_kgon(formula.k_of_n(n), n),
-                t0,
+                time.perf_counter() - t0,
             ))
     return report
 
@@ -225,14 +248,15 @@ def run_identity_selftests() -> VerificationReport:
         ok = exact.alternating_factorial_identity(k)
         report.add(_entry(f"identity/alt-factorial/k={k:02d}",
                           Fraction(1, math.factorial(k - 2)),
-                          "equal" if ok else "mismatch", 0.0 if ok else 1.0, 0.0, t0))
+                          "equal" if ok else "mismatch", 0.0 if ok else 1.0, 0.0,
+                          time.perf_counter() - t0))
     for name, (cases, identity) in _RECURRENCES.items():
         t0 = time.perf_counter()
         failures = len(cases) - sum(itertools.starmap(identity, cases))
         report.add(_entry(f"identity/{name}",
                           f"0 failures in {len(cases)} cases",
                           f"{failures} failures in {len(cases)} cases",
-                          float(failures), 0.0, t0))
+                          float(failures), 0.0, time.perf_counter() - t0))
     return report
 
 
@@ -339,7 +363,7 @@ def run_lemma3_checks(
                     residual = math.inf
                     actual = f"quadrature failed: {err}"
                 report.add(_entry(f"lemma3/k={k}/n={n}/j={j}", closed, actual,
-                                  residual, tol, t0))
+                                  residual, tol, time.perf_counter() - t0))
     return report
 
 
@@ -351,33 +375,71 @@ def _mix64(seed: int) -> int:
     return z ^ (z >> 31)
 
 
-def sampler_equivalence_test(
-    n: int, event: EventSpec, trials: int, seed: int, workers: int = 1
-) -> VerificationEntry:
-    """Estimate the same event under both sampler models and compare.
-
-    The models realize the same spacing distribution, so the two estimates
-    must agree within 5 combined binomial standard errors.
-    """
-    t0 = time.perf_counter()
-    res_a = estimate(
+def _sampler_pair(
+    n: int, event: EventSpec, trials: int, seed: int
+) -> tuple[SimulationConfig, SimulationConfig]:
+    """The uniform-breaks run at seed and the exponential run at _mix64(seed)."""
+    return (
         SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
                          trials=trials, seed=seed),
-        workers=workers,
-    )
-    res_b = estimate(
         SimulationConfig(n=n, event=event, model=SamplerModel.EXPONENTIAL_NORMALIZED,
                          trials=trials, seed=_mix64(seed)),
-        workers=workers,
     )
+
+
+def _timed_estimate(config: SimulationConfig) -> tuple[EstimateResult, float]:
+    """estimate(config) on the calling thread, and its wall time in seconds."""
+    t0 = time.perf_counter()
+    result = estimate(config)
+    return result, time.perf_counter() - t0
+
+
+def _run_estimates(
+    configs: list[SimulationConfig], workers: int
+) -> list[tuple[EstimateResult, float]]:
+    """_timed_estimate of every config, in order, up to `workers` at a time.
+
+    Each estimate runs whole on one thread, so a call starts one pool of
+    min(workers, len(configs)) threads, or none at workers = 1.  Results do
+    not depend on workers: each estimate is bitwise a function of its config.
+    """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+    if workers == 1:
+        return [_timed_estimate(c) for c in configs]
+    with ThreadPoolExecutor(max_workers=min(workers, len(configs))) as pool:
+        futures = [pool.submit(_timed_estimate, c) for c in configs]
+        return [f.result() for f in futures]
+
+
+def _equivalence_entry(
+    n: int, event: EventSpec,
+    uniform: tuple[EstimateResult, float], exponential: tuple[EstimateResult, float],
+) -> VerificationEntry:
+    """The two models' estimates must agree within 5 combined binomial SEs."""
+    (res_a, seconds_a), (res_b, seconds_b) = uniform, exponential
     return _entry(
         f"mc/sampler-equivalence/{event.label()}/n={n}",
         f"{res_a.p_hat:.12g}",
         f"{res_b.p_hat:.12g}",
         abs(res_a.p_hat - res_b.p_hat),
         5.0 * math.sqrt(res_a.std_error**2 + res_b.std_error**2),
-        t0,
+        seconds_a + seconds_b,
     )
+
+
+def sampler_equivalence_test(
+    n: int, event: EventSpec, trials: int, seed: int, workers: int = 1
+) -> VerificationEntry:
+    """Estimate the same event under both sampler models and compare.
+
+    The models realize the same spacing distribution, so the two estimates
+    must agree within 5 combined binomial standard errors.  The uniform run
+    takes `seed` and the exponential run _mix64(seed); at workers > 1 the
+    two run side by side.
+    """
+    return _equivalence_entry(
+        n, event, *_run_estimates(_sampler_pair(n, event, trials, seed), workers))
 
 
 # The mc grid, in stream order: the runs take the seeds seed, seed + 1, ...
@@ -432,24 +494,26 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
     Pass band is 5 binomial standard errors around the exact probability
     (false-failure odds about 6e-7 per entry).  The runs take the seeds
     seed, seed + 1, ... modulo 2^64, in the order of _MC_AGAINST_EXACT and
-    then _MC_EQUIVALENCES.
+    then _MC_EQUIVALENCES (one seed per pair).  The grid's estimates run
+    whole, up to `workers` at a time, on one pool (_run_estimates); each
+    entry's runtime_ms is the wall time of its own estimates.
     """
     check_mc_args(trials, seed, workers)
-    report = VerificationReport()
     streams = ((seed + i) & MAX_SEED for i in itertools.count())
-    for check_id, n, event in _MC_AGAINST_EXACT:
+    configs = [SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
+                                trials=trials, seed=next(streams))
+               for _, n, event in _MC_AGAINST_EXACT]
+    for n, event in _MC_EQUIVALENCES:
+        configs.extend(_sampler_pair(n, event, trials, next(streams)))
+    runs = iter(_run_estimates(configs, workers))
+    report = VerificationReport()
+    for (check_id, n, event), (res, seconds) in zip(_MC_AGAINST_EXACT, runs):
         exact_p = _exact_probability(n, event)
-        t0 = time.perf_counter()
-        res = estimate(
-            SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
-                             trials=trials, seed=next(streams)),
-            workers=workers,
-        )
         p = float(exact_p)
         report.add(_entry(check_id, exact_p, f"{res.p_hat:.12g}", abs(res.p_hat - p),
-                          5.0 * math.sqrt(p * (1.0 - p) / trials), t0))
+                          5.0 * math.sqrt(p * (1.0 - p) / trials), seconds))
     for n, event in _MC_EQUIVALENCES:
-        report.add(sampler_equivalence_test(n, event, trials, next(streams), workers=workers))
+        report.add(_equivalence_entry(n, event, next(runs), next(runs)))
     return report
 
 
@@ -465,7 +529,8 @@ def run_all(
     This is the only dispatcher: the arguments of every selected suite are
     checked before any suite runs.  Each suite function is looked up in this
     module's globals when it runs, so a rebinding (the benchmark's tracer, a
-    test) sees the call.  The full default run takes well under five minutes.
+    test) sees the call.  Each suite's checks, failures and wall time go to
+    report.totals.  The full default run takes well under five minutes.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -482,5 +547,10 @@ def run_all(
     }
     report = VerificationReport()
     for name in selected:
-        report.extend(runners[name]())
+        t0 = time.perf_counter()
+        part = runners[name]()
+        seconds = time.perf_counter() - t0
+        report.extend(part)
+        report.totals.append(SuiteTotal(name, len(part), len(part.failures()),
+                                        int(seconds * 1000)))
     return report

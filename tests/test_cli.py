@@ -24,12 +24,15 @@ from bstick.cli import (
     EXIT_VERIFY_FAILED,
     RECORD_FIELDS,
     REPORT_FIELDS,
+    _check_printable,
+    build_parser,
     fraction_to_decimal,
     main,
     parse_range,
     parse_rational,
 )
-from bstick.montecarlo import GENERATOR_ID
+from bstick.exact import CapExceededError
+from bstick.montecarlo import GENERATOR_ID, MAX_WORKERS, default_workers
 from bstick.verify import VerificationEntry, VerificationReport
 
 from fractions import Fraction
@@ -41,6 +44,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_subprocess(*argv, **env_vars):
+    """Run the CLI in a fresh interpreter, so a hang cannot stall the suite."""
+    env = dict(os.environ, **env_vars)
+    src = str(Path(exact.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bstick.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
 
 
 def records_of(out: str):
@@ -199,6 +211,26 @@ def test_exact_cap_exit_code(capsys):
     assert code == EXIT_OK
 
 
+def test_exact_value_too_long_to_print_is_a_cap_exit():
+    """A value past Python's int-to-str digit limit exits 3 with a message
+    naming that limit, not 2 with Python's own ValueError."""
+    proc = run_subprocess("exact", "--formula", "whitworth", "--n", "20000", "--x", "1/3",
+                          "--cap", "1000000", PYTHONINTMAXSTRDIGITS="4300")
+    assert proc.returncode == EXIT_CAP and proc.stdout == ""
+    assert "more than 4300 decimal digits, the printable limit" in proc.stderr
+
+
+def test_printable_limit_is_exact_at_the_boundary(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 700)
+    _check_printable(F(10**700 - 1, 3))  # 700 digits
+    with pytest.raises(CapExceededError, match="more than 700 decimal digits"):
+        _check_printable(F(-1, 10**700))
+    with pytest.raises(CapExceededError):
+        _check_printable(F(-(10**700), 3))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    _check_printable(F(1, 10**7000))
+
+
 # -------------------------------------------------------------------- table
 
 
@@ -218,14 +250,9 @@ def test_table_does_not_walk_k_beyond_the_largest_n():
     """A huge --k range gives the records of --k 3:5 at once, not after
     walking every empty cell (run in a subprocess so a hang cannot stall
     the suite)."""
-    env = dict(os.environ)
-    src = str(Path(exact.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
     def records(k_range):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bstick.cli", "table", "--k", k_range, "--n", "3:5"],
-            capture_output=True, text=True, env=env, timeout=30, check=True)
+        proc = run_subprocess("table", "--k", k_range, "--n", "3:5")
+        assert proc.returncode == EXIT_OK
         return [{f: v for f, v in rec.items() if f != "timestamp"}
                 for rec in records_of(proc.stdout)]
 
@@ -367,8 +394,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(verify, "run_identity_selftests", lambda: report)
     code, _, err = run(capsys, "verify", "--suite", "identities")
     assert code == EXIT_VERIFY_FAILED
-    assert "1 checks, 1 failed" in err
+    assert err.startswith("suite identities: 1 checks, 1 failed, ")
+    assert "\n1 checks, 1 failed\n" in err
     assert "FAIL x/broken" in err
+
+
+def test_verify_prints_per_suite_totals_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--n-max", "5",
+                         "--trials", "10000", "--seed", "1")
+    assert code == EXIT_OK
+    *totals, last = err.splitlines()
+    assert [line.split(":")[0] for line in totals] == [f"suite {s}" for s in verify.SUITES]
+    checks = [int(line.split(": ")[1].split(" checks, 0 failed, ")[0]) for line in totals]
+    assert all(line.endswith(" ms") for line in totals)
+    assert sum(checks) == len(json.loads(out))
+    assert last == f"{sum(checks)} checks, 0 failed"
 
 
 def test_verify_unwritable_out_is_io_error(capsys, tmp_path):
@@ -414,6 +454,21 @@ def test_verify_mc_accepts_the_largest_seed(capsys):
 
 
 # ------------------------------------------------------------------ general
+
+
+@pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (200, MAX_WORKERS)])
+def test_workers_default_to_the_usable_cpus(monkeypatch, cpus, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)  # affinity wins where it exists
+    assert default_workers() == expected
+    for argv in (["simulate", "--n", "5", "--event", "all", "--k", "3"],
+                 ["verify", "--suite", "mc"]):
+        assert build_parser().parse_args(argv).workers == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert default_workers() == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
 
 
 def test_unknown_command_and_help(capsys):

@@ -11,6 +11,9 @@ Regenerate a file with
 change to the output is intended.
 """
 
+import csv
+import io
+import json
 import re
 from pathlib import Path
 
@@ -61,6 +64,41 @@ def test_output_matches_golden(name, fmt, capsys):
     out = capsys.readouterr().out
     golden = (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
     assert _mask(out, fmt) == _mask(golden, fmt)
+
+
+def _rows(text: str, fmt: str) -> list[tuple]:
+    """A report's entries as (field, value) tuples, the MASKED fields left out."""
+    entries = json.loads(text) if fmt == "json" else csv.DictReader(io.StringIO(text))
+    return [tuple((k, v) for k, v in e.items() if k not in MASKED) for e in entries]
+
+
+def _above_n_max(row: tuple, n_max: int) -> bool:
+    check_id = row[0][1]
+    return check_id.startswith("exact/") and int(check_id.rsplit("n=", 1)[1]) > n_max
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_output_does_not_depend_on_workers(fmt, capsys):
+    """verify runs its Monte Carlo estimates --workers at a time.  At 1, 2
+    and 8 workers and the default, the mc suite prints its golden file, and
+    all suites at --n-max 10 print the one-worker report, whose entries other
+    than lemma3 are those of the exact (n <= 10), identities and mc files."""
+    verify_all = ["verify", "--suite", "all", "--n-max", "10", "--trials", "10000", "--seed", "3"]
+
+    def output(argv):
+        assert main(argv + ["--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    golden = {name: (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
+              for name in ("verify-exact", "verify-identities", "verify-mc")}
+    pinned = sorted(row for text in golden.values() for row in _rows(text, fmt)
+                    if not _above_n_max(row, 10))
+    reference = output(verify_all + ["--workers", "1"])
+    assert sorted(row for row in _rows(reference, fmt)
+                  if not row[0][1].startswith("lemma3/")) == pinned
+    for workers in (["--workers", "1"], ["--workers", "2"], ["--workers", "8"], []):
+        assert _mask(output(COMMANDS["verify-mc"] + workers), fmt) == _mask(golden["verify-mc"], fmt)
+        assert _mask(output(verify_all + workers), fmt) == _mask(reference, fmt)
 
 
 def test_mask_hides_only_the_masked_fields():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import bstick
-from bstick import verify
-from bstick.montecarlo import BudgetExceededError
+from bstick import montecarlo, verify
+from bstick.montecarlo import MAX_WORKERS, BudgetExceededError
 from bstick.verify import (
     VerificationEntry,
     VerificationReport,
@@ -181,6 +182,55 @@ def test_mc_crosschecks_deterministic_given_seed():
     assert [(e.check_id, e.actual) for e in a] == [(e.check_id, e.actual) for e in b]
 
 
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: runs each task inline and records
+    the workers asked for and the tasks submitted."""
+
+    def __init__(self, created, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8, MAX_WORKERS])
+def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
+    """At w > 1 workers the suite makes one pool of min(w, 34) threads and
+    every estimate runs whole on one of them; at w = 1 no pool is made.  Each
+    estimate here spans two chunks, so one started with workers > 1 would
+    make a pool of its own.  No real thread is started."""
+    reference = run_mc_crosschecks(70_000, seed=4)
+    pools = {"verify": [], "montecarlo": []}
+    for name, module in (("verify", verify), ("montecarlo", montecarlo)):
+        monkeypatch.setattr(module, "ThreadPoolExecutor",
+                            lambda max_workers, _made=pools[name]: _InlinePool(_made, max_workers))
+    calls = []
+    real_estimate = verify.estimate
+    monkeypatch.setattr(verify, "estimate",
+                        lambda config, **kw: calls.append(kw) or real_estimate(config, **kw))
+    report = run_mc_crosschecks(70_000, seed=4, workers=workers)
+    assert calls == [{}] * 34
+    assert pools["montecarlo"] == []
+    if workers == 1:
+        assert pools["verify"] == []
+    else:
+        (pool,) = pools["verify"]
+        assert (pool.max_workers, pool.submitted) == (min(workers, 34), 34)
+    assert ([(e.check_id, e.actual, e.passed) for e in report]
+            == [(e.check_id, e.actual, e.passed) for e in reference])
+
+
 def test_run_all_runs_the_four_suites_in_order():
     expected = [
         e.check_id
@@ -190,6 +240,8 @@ def test_run_all_runs_the_four_suites_in_order():
     ]
     report = run_all(n_max=5, trials=10**4, seed=0)
     assert [e.check_id for e in report] == expected
+    assert [(t.suite, t.failed) for t in report.totals] == [(s, 0) for s in verify.SUITES]
+    assert sum(t.checks for t in report.totals) == len(report)
     with pytest.raises(ValueError, match="unknown suite"):
         run_all(suite="bogus")
 
