@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo estimates, and cross-validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = default_workers()
 
     p_exact = sub.add_parser("exact", help="evaluate one closed-form probability")
     p_exact.add_argument("--formula", required=True, choices=sorted(exact.FORMULAS))
@@ -321,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: BSTICK_SEED environment variable, else 0")
     p_sim.add_argument("--model", choices=["uniform", "exponential"], default="uniform")
     p_sim.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
-    p_sim.add_argument("--workers", type=int, default=workers,
-                       help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS}); "
-                            "default: the CPUs this process may use")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS})")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)
     p_sim.add_argument("--use-oracle", action="store_true",
                        help="evaluate events by brute-force subset enumeration")
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=20)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--workers", type=int, default=workers,
+    p_ver.add_argument("--workers", type=int, default=default_workers(),
                        help=f"Monte Carlo estimates run at a time (1..{MAX_WORKERS}); "
                             "default: the CPUs this process may use")
     p_ver.add_argument("--out", help="write the report to this file instead of stdout")

@@ -90,7 +90,7 @@ def default_workers() -> int:
     """The CPUs this process may run on, at most MAX_WORKERS.
 
     Counted by os.sched_getaffinity where the platform has it, else
-    os.cpu_count().  The CLI's --workers default.
+    os.cpu_count().  The default of `verify --workers`.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     usable = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)

@@ -387,10 +387,12 @@ def _sampler_pair(
     )
 
 
-def _timed_estimate(config: SimulationConfig) -> tuple[EstimateResult, float]:
-    """estimate(config) on the calling thread, and its wall time in seconds."""
+def _timed_estimate(
+    config: SimulationConfig, workers: int = 1
+) -> tuple[EstimateResult, float]:
+    """estimate(config, workers=workers), and its wall time in seconds."""
     t0 = time.perf_counter()
-    result = estimate(config)
+    result = estimate(config, workers=workers)
     return result, time.perf_counter() - t0
 
 
@@ -402,14 +404,18 @@ def _run_estimates(
     Each estimate runs whole on one thread, so a call starts one pool of
     min(workers, len(configs)) threads, or none at workers = 1.  Results do
     not depend on workers: each estimate is bitwise a function of its config.
+    If a result raises, or the wait is interrupted (Ctrl-C), the estimates
+    not yet started are cancelled; only those already running finish.
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
     if workers == 1:
         return [_timed_estimate(c) for c in configs]
     with ThreadPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         futures = [pool.submit(_timed_estimate, c) for c in configs]
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def _equivalence_entry(
@@ -435,11 +441,12 @@ def sampler_equivalence_test(
 
     The models realize the same spacing distribution, so the two estimates
     must agree within 5 combined binomial standard errors.  The uniform run
-    takes `seed` and the exponential run _mix64(seed); at workers > 1 the
-    two run side by side.
+    takes `seed` and the exponential run _mix64(seed); each shares its chunks
+    among `workers` threads.
     """
-    return _equivalence_entry(
-        n, event, *_run_estimates(_sampler_pair(n, event, trials, seed), workers))
+    uniform, exponential = (_timed_estimate(c, workers)
+                            for c in _sampler_pair(n, event, trials, seed))
+    return _equivalence_entry(n, event, uniform, exponential)
 
 
 # The mc grid, in stream order: the runs take the seeds seed, seed + 1, ...

@@ -3,7 +3,8 @@
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,13 @@ import pytest
 
 import bstick
 from bstick import montecarlo, verify
-from bstick.montecarlo import MAX_WORKERS, BudgetExceededError
+from bstick.montecarlo import (
+    MAX_WORKERS,
+    BudgetExceededError,
+    EstimateResult,
+    EventSpec,
+    SamplerModel,
+)
 from bstick.verify import (
     VerificationEntry,
     VerificationReport,
@@ -25,6 +32,7 @@ from bstick.verify import (
     run_lemma3_checks,
     run_all,
     run_mc_crosschecks,
+    sampler_equivalence_test,
 )
 
 F = Fraction
@@ -220,7 +228,7 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
     monkeypatch.setattr(verify, "estimate",
                         lambda config, **kw: calls.append(kw) or real_estimate(config, **kw))
     report = run_mc_crosschecks(70_000, seed=4, workers=workers)
-    assert calls == [{}] * 34
+    assert calls == [{"workers": 1}] * 34
     assert pools["montecarlo"] == []
     if workers == 1:
         assert pools["verify"] == []
@@ -230,6 +238,56 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
     assert ([(e.check_id, e.actual, e.passed) for e in report]
             == [(e.check_id, e.actual, e.passed) for e in reference])
 
+
+
+class _Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_mc_suite_cancels_queued_estimates_when_one_raises(monkeypatch, workers):
+    """An estimate that raises (as Ctrl-C would in the wait) cancels the
+    estimates still queued: only those already running finish.  Estimates
+    after the failing one block until the pool is shut down, so none can
+    start between the failure and the cancellation."""
+    failing = 5
+    started = []
+    released = threading.Event()
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    def fake_estimate(config, workers):
+        index = config.seed  # the suite runs at seed 0
+        started.append(index)
+        if index == failing:
+            raise _Interrupt
+        if index > failing:
+            assert released.wait(timeout=30)
+        return EstimateResult(p_hat=0.5, trials=2, successes=1, ci_low=0.0, ci_high=1.0,
+                              ci_level=0.95, seed=config.seed, model=config.model)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(verify, "estimate", fake_estimate)
+    with pytest.raises(_Interrupt):
+        run_mc_crosschecks(10**4, seed=0, workers=workers)
+    assert set(range(failing + 1)) <= set(started)
+    assert max(started) <= failing + workers
+
+
+def test_sampler_equivalence_test_shares_each_estimates_chunks(monkeypatch):
+    """Each of the two models' estimates gets all the workers, one after the other."""
+    calls = []
+    real_estimate = verify.estimate
+    monkeypatch.setattr(verify, "estimate", lambda config, workers: calls.append(
+        (config.model, workers)) or real_estimate(config, workers=workers))
+    entry = sampler_equivalence_test(5, EventSpec.all_k_subsets(3), 10**4, seed=1, workers=3)
+    assert calls == [(SamplerModel.UNIFORM_BREAKS, 3),
+                     (SamplerModel.EXPONENTIAL_NORMALIZED, 3)]
+    assert entry.passed
 
 def test_run_all_runs_the_four_suites_in_order():
     expected = [
