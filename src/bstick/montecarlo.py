@@ -5,7 +5,7 @@ chunk c draws from a Philox4x64-10 counter-based generator keyed by the two
 64-bit words (seed, c).  Each trial consumes a fixed number of uniform draws
 (see SamplerModel.draws_per_trial), so the indicator stream is a pure function
 of (seed, chunk index, offset within chunk) and results are bitwise identical
-for a given config no matter how chunks are scheduled across workers.
+for a given config however the one scheduler, run_in_order, spreads chunks.
 
 Within a chunk, trials are drawn and tested in consecutive sub-blocks of about
 BLOCK_VALUES spacing values, which bounds a chunk's memory (n is capped at
@@ -24,8 +24,11 @@ the next, so a run does not keep faulting in fresh pages.
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, sqrt
 from statistics import NormalDist
 
@@ -49,6 +52,8 @@ __all__ = [
     "MAX_SEED",
     "MAX_WORKERS",
     "default_workers",
+    "check_workers",
+    "run_in_order",
     "BudgetExceededError",
     "SimulationConfig",
     "EstimateResult",
@@ -77,10 +82,11 @@ BLOCK_VALUES = 1 << 17
 # usage error (ValueError, CLI exit code 2), raised before anything is drawn.
 MAX_N = BLOCK_VALUES
 
-# Most worker threads an estimate starts.  Each worker takes a fixed share of
-# the chunks, so an estimate holds one thread and one future per worker, never
-# one per chunk.  More workers is a usage error, raised before any thread starts.
+# Most threads a run_in_order call starts; more is a usage error (check_workers).
 MAX_WORKERS = 64
+
+# Futures run_in_order holds per thread, a bound set before any item runs.
+IN_FLIGHT_PER_WORKER = 2
 
 # Largest seed: a seed is one 64-bit word of the generator key.
 MAX_SEED = 2**64 - 1
@@ -95,6 +101,37 @@ def default_workers() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     usable = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
     return min(usable, MAX_WORKERS)
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker count outside 1..MAX_WORKERS (ValueError)."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+
+
+def run_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """Yield fn(item) for each item, in the order of items.
+
+    Inline at one worker; else on one pool of min(workers, len(items)) threads
+    holding IN_FLIGHT_PER_WORKER futures per thread.  If a call raises, Ctrl-C
+    interrupts the wait or the caller stops, the queued calls are cancelled
+    and only the running ones finish.
+    """
+    threads = min(workers, len(items))
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == IN_FLIGHT_PER_WORKER * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class BudgetExceededError(Exception):
@@ -187,11 +224,6 @@ def _chunk_successes(config: SimulationConfig, chunk_index: int) -> int:
     return successes
 
 
-def _strided_successes(config: SimulationConfig, first: int, step: int, n_chunks: int) -> int:
-    """Successes of chunks first, first + step, ... below n_chunks."""
-    return sum(_chunk_successes(config, c) for c in range(first, n_chunks, step))
-
-
 def estimate(
     config: SimulationConfig,
     workers: int = 1,
@@ -200,25 +232,16 @@ def estimate(
 ) -> EstimateResult:
     """Run config.trials independent trials and return the estimate.
 
-    Chunks may be evaluated on up to MAX_WORKERS concurrent workers; worker w
-    takes chunks c = w (mod workers).  Per-chunk success counts are merged by
-    integer summation, so the result does not depend on worker count.
+    Chunks run through run_in_order on `workers` threads; per-chunk success
+    counts are summed as integers, so the result does not depend on workers.
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+    check_workers(workers)
     if config.trials * config.n > budget:
         raise BudgetExceededError(
             f"trials*n = {config.trials * config.n} exceeds budget {budget}"
         )
     n_chunks = ceil(config.trials / config.chunk_size)
-    workers = min(workers, n_chunks)
-    if workers == 1:
-        successes = _strided_successes(config, 0, 1, n_chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_strided_successes, config, w, workers, n_chunks)
-                       for w in range(workers)]
-            successes = sum(f.result() for f in futures)
+    successes = sum(run_in_order(partial(_chunk_successes, config), range(n_chunks), workers))
     low, high = wilson_interval(successes, config.trials, ci_level)
     return EstimateResult(
         p_hat=successes / config.trials,

@@ -14,7 +14,7 @@ Four suites (SUITES, in the order "all" runs them):
 * mc         -- Monte Carlo estimates against exact values, one module-level
                 list of (check id, n, event), plus agreement between the two
                 sampler models.  Its 34 estimates run whole, `workers` at a
-                time on one thread pool per call; workers never changes a
+                time, through montecarlo.run_in_order; workers never changes a
                 result, since each estimate is bitwise a function of its config.
 
 Each suite returns a VerificationReport of VerificationEntry records, all
@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,11 +41,12 @@ from .kernel import beta_int, binomial, fibonacci, pochhammer
 from .montecarlo import (
     DEFAULT_TRIAL_BUDGET,
     MAX_SEED,
-    MAX_WORKERS,
     BudgetExceededError,
     EstimateResult,
     SimulationConfig,
+    check_workers,
     estimate,
+    run_in_order,
 )
 from .sticks import EventKind, EventSpec, SamplerModel
 
@@ -396,28 +396,6 @@ def _timed_estimate(
     return result, time.perf_counter() - t0
 
 
-def _run_estimates(
-    configs: list[SimulationConfig], workers: int
-) -> list[tuple[EstimateResult, float]]:
-    """_timed_estimate of every config, in order, up to `workers` at a time.
-
-    Each estimate runs whole on one thread, so a call starts one pool of
-    min(workers, len(configs)) threads, or none at workers = 1.  Results do
-    not depend on workers: each estimate is bitwise a function of its config.
-    If a result raises, or the wait is interrupted (Ctrl-C), the estimates
-    not yet started are cancelled; only those already running finish.
-    """
-    if workers == 1:
-        return [_timed_estimate(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-        futures = [pool.submit(_timed_estimate, c) for c in configs]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
-
 def _equivalence_entry(
     n: int, event: EventSpec,
     uniform: tuple[EstimateResult, float], exponential: tuple[EstimateResult, float],
@@ -487,8 +465,7 @@ def check_mc_args(trials: int, seed: int, workers: int) -> None:
         raise ValueError("trials must be >= 10^4")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+    check_workers(workers)
     max_n = max(*(n for _, n, _ in _MC_AGAINST_EXACT), *(n for n, _ in _MC_EQUIVALENCES))
     if trials * max_n > DEFAULT_TRIAL_BUDGET:
         raise BudgetExceededError(
@@ -502,8 +479,8 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
     (false-failure odds about 6e-7 per entry).  The runs take the seeds
     seed, seed + 1, ... modulo 2^64, in the order of _MC_AGAINST_EXACT and
     then _MC_EQUIVALENCES (one seed per pair).  The grid's estimates run
-    whole, up to `workers` at a time, on one pool (_run_estimates); each
-    entry's runtime_ms is the wall time of its own estimates.
+    whole, up to `workers` at a time, through run_in_order; each entry's
+    runtime_ms is the wall time of its own estimates.
     """
     check_mc_args(trials, seed, workers)
     streams = ((seed + i) & MAX_SEED for i in itertools.count())
@@ -512,7 +489,7 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
                for _, n, event in _MC_AGAINST_EXACT]
     for n, event in _MC_EQUIVALENCES:
         configs.extend(_sampler_pair(n, event, trials, next(streams)))
-    runs = iter(_run_estimates(configs, workers))
+    runs = run_in_order(_timed_estimate, configs, workers)
     report = VerificationReport()
     for (check_id, n, event), (res, seconds) in zip(_MC_AGAINST_EXACT, runs):
         exact_p = _exact_probability(n, event)

@@ -1,8 +1,10 @@
 """Estimator reproducibility, Wilson intervals, and agreement with exact values."""
 
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import Future
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
@@ -16,6 +18,7 @@ from bstick.montecarlo import (
     BLOCK_VALUES,
     DEFAULT_CHUNK_SIZE,
     GENERATOR_ID,
+    IN_FLIGHT_PER_WORKER,
     MAX_N,
     MAX_WORKERS,
     BudgetExceededError,
@@ -124,42 +127,83 @@ def test_worker_count_does_not_change_the_result():
         )
 
 
-@pytest.mark.parametrize("model", list(SamplerModel))
 class FakeExecutor:
     """Stands in for ThreadPoolExecutor: runs each task inline and records
-    how many workers were asked for and how many tasks were submitted."""
+    the workers asked for, the tasks submitted and the most futures alive at
+    once."""
 
     instances = []
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
         self.submitted = 0
+        self.most_alive = 0
+        self._alive = weakref.WeakSet()
         FakeExecutor.instances.append(self)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         self.submitted += 1
         future = Future()
         future.set_result(fn(*args))
+        self._alive.add(future)
+        self.most_alive = max(self.most_alive, len(self._alive))
         return future
 
 
 @pytest.mark.parametrize("workers, chunks", [(2, 7), (5, 3), (MAX_WORKERS, 1000)])
-def test_workers_take_strided_chunk_shares(monkeypatch, workers, chunks):
-    """One task per worker, never one per chunk, and at most one worker per
-    chunk; the counts equal the serial run.  No real thread is started."""
-    cfg = _config(n=5, event=EventSpec.exists_k(3), trials=chunks * 10, chunk_size=10, seed=3)
+def test_chunk_futures_are_bounded_per_worker(monkeypatch, workers, chunks):
+    """One pool of at most one thread per chunk, and one task per chunk; at
+    chunk_size = 1 the futures alive at once stay within IN_FLIGHT_PER_WORKER
+    per thread however many chunks there are.  The counts equal the serial
+    run.  No real thread is started."""
+    cfg = _config(n=5, event=EventSpec.exists_k(3), trials=chunks, chunk_size=1, seed=3)
     expected = estimate(cfg).successes
     FakeExecutor.instances.clear()
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
     assert estimate(cfg, workers=workers).successes == expected
     (pool,) = FakeExecutor.instances
-    assert pool.max_workers == pool.submitted == min(workers, chunks)
+    assert pool.max_workers == min(workers, chunks)
+    assert pool.submitted == chunks
+    assert pool.most_alive <= IN_FLIGHT_PER_WORKER * pool.max_workers
+
+
+class _ChunkFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_failing_chunk_cancels_the_queued_chunks(monkeypatch, workers):
+    """A chunk that raises (as Ctrl-C would in the wait) cancels the chunks
+    still queued: no chunk past the failing one plus the in-flight bound
+    starts.  Chunks after the failing one block until the pool is shut down,
+    so none can start between the failure and the cancellation."""
+    failing = 4
+    started = []
+    released = threading.Event()
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    def fake_chunk(config, chunk_index):
+        started.append(chunk_index)
+        if chunk_index == failing:
+            raise _ChunkFailed
+        if chunk_index > failing:
+            assert released.wait(timeout=30)
+        return 0
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(montecarlo, "_chunk_successes", fake_chunk)
+    with pytest.raises(_ChunkFailed):
+        estimate(_config(trials=1000, chunk_size=10), workers=workers)
+    assert set(range(failing + 1)) <= set(started)
+    assert max(started) <= failing + IN_FLIGHT_PER_WORKER * workers
 
 
 def test_too_many_workers_is_rejected_before_any_pool(monkeypatch):

@@ -199,11 +199,8 @@ class _InlinePool:
         self.submitted = 0
         created.append(self)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         self.submitted += 1
@@ -214,26 +211,24 @@ class _InlinePool:
 
 @pytest.mark.parametrize("workers", [1, 2, 8, MAX_WORKERS])
 def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
-    """At w > 1 workers the suite makes one pool of min(w, 34) threads and
-    every estimate runs whole on one of them; at w = 1 no pool is made.  Each
-    estimate here spans two chunks, so one started with workers > 1 would
-    make a pool of its own.  No real thread is started."""
+    """At w > 1 workers the suite makes one pool of min(w, 34) threads, the
+    one scheduler's, and every estimate runs whole on one of them; at w = 1
+    no pool is made.  Each estimate here spans two chunks, so one started
+    with workers > 1 would make a second pool.  No real thread is started."""
     reference = run_mc_crosschecks(70_000, seed=4)
-    pools = {"verify": [], "montecarlo": []}
-    for name, module in (("verify", verify), ("montecarlo", montecarlo)):
-        monkeypatch.setattr(module, "ThreadPoolExecutor",
-                            lambda max_workers, _made=pools[name]: _InlinePool(_made, max_workers))
+    pools = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                        lambda max_workers: _InlinePool(pools, max_workers))
     calls = []
     real_estimate = verify.estimate
     monkeypatch.setattr(verify, "estimate",
                         lambda config, **kw: calls.append(kw) or real_estimate(config, **kw))
     report = run_mc_crosschecks(70_000, seed=4, workers=workers)
     assert calls == [{"workers": 1}] * 34
-    assert pools["montecarlo"] == []
     if workers == 1:
-        assert pools["verify"] == []
+        assert pools == []
     else:
-        (pool,) = pools["verify"]
+        (pool,) = pools
         assert (pool.max_workers, pool.submitted) == (min(workers, 34), 34)
     assert ([(e.check_id, e.actual, e.passed) for e in report]
             == [(e.check_id, e.actual, e.passed) for e in reference])
@@ -270,7 +265,7 @@ def test_mc_suite_cancels_queued_estimates_when_one_raises(monkeypatch, workers)
         return EstimateResult(p_hat=0.5, trials=2, successes=1, ci_low=0.0, ci_high=1.0,
                               ci_level=0.95, seed=config.seed, model=config.model)
 
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(verify, "estimate", fake_estimate)
     with pytest.raises(_Interrupt):
         run_mc_crosschecks(10**4, seed=0, workers=workers)
