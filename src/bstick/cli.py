@@ -6,7 +6,7 @@ identical seeds produce byte-identical output except the timestamp field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 exact-
 arithmetic cap exceeded or an exact value too long to print, 4 simulation
-budget exceeded, 5 I/O error.
+budget exceeded, 5 I/O error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
+EXIT_INTERRUPTED = 130
 
 RECORD_FIELDS = [
     "kind", "k", "n", "event", "value_exact", "value_decimal",
@@ -247,7 +248,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = SamplerModel(args.model)
     config = SimulationConfig(
         n=args.n, event=event, model=model, trials=args.trials,
-        seed=seed, chunk_size=args.chunk_size, use_oracle=args.use_oracle,
+        seed=seed, chunk_size=args.chunk_size,
     )
     result = estimate(config, workers=args.workers, budget=args.budget)
     rec = _record(
@@ -323,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=1,
                        help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS})")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)
-    p_sim.add_argument("--use-oracle", action="store_true",
-                       help="evaluate events by brute-force subset enumeration")
     p_sim.add_argument("--format", choices=["json", "csv"], default="json")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -363,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

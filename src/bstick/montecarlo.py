@@ -36,7 +36,6 @@ import numpy as np
 
 from .sticks import (
     NETWORK_MAX_N,
-    ORACLE_MAX_N,
     EventSpec,
     SamplerModel,
     event_indicator_batch,
@@ -53,6 +52,7 @@ __all__ = [
     "MAX_WORKERS",
     "default_workers",
     "check_workers",
+    "check_budget",
     "run_in_order",
     "BudgetExceededError",
     "SimulationConfig",
@@ -109,6 +109,13 @@ def check_workers(workers: int) -> None:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
 
 
+def check_budget(trials: int, n: int, budget: int) -> None:
+    """Reject trials * n above budget (BudgetExceededError)."""
+    if trials * n > budget:
+        raise BudgetExceededError(
+            f"trials*n = {trials * n} at n = {n} exceeds budget {budget}")
+
+
 def run_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
     """Yield fn(item) for each item, in the order of items.
 
@@ -140,7 +147,12 @@ class BudgetExceededError(Exception):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything that determines an estimate bit-for-bit (plus chunking)."""
+    """Everything that determines an estimate bit-for-bit (plus chunking).
+
+    Events are always tested by the reduced predicates of
+    event_indicator_batch; the brute-force subset_polygon_oracle is a test
+    reference only.
+    """
 
     n: int
     event: EventSpec
@@ -148,7 +160,6 @@ class SimulationConfig:
     trials: int
     seed: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    use_oracle: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_N:
@@ -160,8 +171,6 @@ class SimulationConfig:
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.event.validate_for(self.n)
-        if self.use_oracle and self.n > ORACLE_MAX_N:
-            raise ValueError(f"oracle evaluation limited to n <= {ORACLE_MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +228,7 @@ def _chunk_successes(config: SimulationConfig, chunk_index: int) -> int:
         else:
             out = scratch_array("spacings", (size, config.n))
         spacings = sample_spacings_batch(config.n, config.model, rng, size, out=out)
-        hits = event_indicator_batch(config.event, spacings, use_oracle=config.use_oracle)
+        hits = event_indicator_batch(config.event, spacings)
         successes += int(np.count_nonzero(hits))
     return successes
 
@@ -236,10 +245,7 @@ def estimate(
     counts are summed as integers, so the result does not depend on workers.
     """
     check_workers(workers)
-    if config.trials * config.n > budget:
-        raise BudgetExceededError(
-            f"trials*n = {config.trials * config.n} exceeds budget {budget}"
-        )
+    check_budget(config.trials, config.n, budget)
     n_chunks = ceil(config.trials / config.chunk_size)
     successes = sum(run_in_order(partial(_chunk_successes, config), range(n_chunks), workers))
     low, high = wilson_interval(successes, config.trials, ci_level)

@@ -209,20 +209,13 @@ def _as_row(s) -> np.ndarray:
     return arr.reshape(1, -1)
 
 
-def _check_k(k: int, n: int) -> None:
-    if not 3 <= k <= n:
-        raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-
-
 def all_k_subsets_polygon(s, k: int) -> bool:
     """True iff every k-subset of the spacings forms a k-gon.
 
     Reduces to one inequality: the largest spacing must not exceed the sum of
     the k-1 smallest (the hardest subset is the k-1 smallest plus the largest).
     """
-    row = _as_row(s)
-    _check_k(k, row.shape[1])
-    return bool(_polygon_indicator(EventKind.ALL_K_SUBSETS, row, k)[0])
+    return bool(event_indicator_batch(EventSpec.all_k_subsets(k), _as_row(s))[0])
 
 
 def exists_k_polygon_windowed(s, k: int) -> bool:
@@ -234,27 +227,23 @@ def exists_k_polygon_windowed(s, k: int) -> bool:
     their sum is at least that of the subset's other k-1 pieces, which is at
     least the piece at i.  Conversely a window is itself a k-subset.
     """
-    row = _as_row(s)
-    _check_k(k, row.shape[1])
-    return bool(_polygon_indicator(EventKind.EXISTS_K, row, k)[0])
+    return bool(event_indicator_batch(EventSpec.exists_k(k), _as_row(s))[0])
 
 
 def max_spacing_exceeds(s, x: float) -> bool:
     """True iff the largest spacing strictly exceeds x."""
-    if not 0 < x < 1:
-        raise ValueError("threshold must lie in (0, 1)")
-    row = _as_row(s)
-    return bool(row.max() > x)
+    return bool(event_indicator_batch(EventSpec.max_spacing(x), _as_row(s))[0])
 
 
 def subset_polygon_oracle(s, k: int) -> SubsetCheck:
     """Exhaustively test the k-gon inequality over all C(n, k) subsets.
 
-    Ground truth for the fast predicates.  Guarded to n <= ORACLE_MAX_N.
+    The reference the fast predicates are tested against; no estimate uses
+    it.  Guarded to n <= ORACLE_MAX_N.
     """
     row = _as_row(s)
     n = row.shape[1]
-    _check_k(k, n)
+    EventSpec.all_k_subsets(k).validate_for(n)
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n={n}")
     all_ok, any_ok = _subset_check_batch(row, k)
@@ -470,28 +459,25 @@ def _polygon_indicator(kind: EventKind, spacings: np.ndarray, k: int) -> np.ndar
 
 
 def _subset_check_batch(spacings: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    m, n = spacings.shape
-    all_ok = np.ones(m, dtype=bool)
-    any_ok = np.zeros(m, dtype=bool)
-    for idx in combinations(range(n), k):
-        sub = spacings[:, idx]
-        mx = sub.max(axis=1)
-        ok = mx <= sub.sum(axis=1) - mx
-        all_ok &= ok
-        any_ok |= ok
-    return all_ok, any_ok
+    """Whether all, and whether some, of the k-subsets of each row form a k-gon.
+
+    One fancy index gathers every subset of every row into an (m, C(n, k), k)
+    array, so memory grows as C(n, k): callers bound n.
+    """
+    n = spacings.shape[1]
+    subsets = spacings[:, list(combinations(range(n), k))]
+    largest = subsets.max(axis=2)
+    ok = largest <= subsets.sum(axis=2) - largest
+    return ok.all(axis=1), ok.any(axis=1)
 
 
-def event_indicator_batch(
-    event: EventSpec, spacings: np.ndarray, use_oracle: bool = False
-) -> np.ndarray:
+def event_indicator_batch(event: EventSpec, spacings: np.ndarray) -> np.ndarray:
     """Evaluate the event indicator on a (trials, n) batch of spacing vectors.
 
+    The one predicate path: the scalar predicates call it on a single row.
     Up to NETWORK_MAX_N values per row the predicates work on the columns
     spacings.T, which are contiguous when ``spacings`` is F-ordered; a
-    C-ordered batch gives the same result.  ``use_oracle`` swaps the reduced
-    predicates for the brute-force subset enumeration (n <= ORACLE_MAX_N);
-    max-spacing has no oracle form.
+    C-ordered batch gives the same result.
     """
     count, n = spacings.shape
     if event.kind is EventKind.MAX_SPACING:
@@ -503,9 +489,4 @@ def event_indicator_batch(
             np.copyto(cols, spacings.T)
         return cols.max(axis=0, out=scratch_array("sum", (count,))) > float(event.x)
     event.validate_for(n)
-    if use_oracle:
-        if n > ORACLE_MAX_N:
-            raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n={n}")
-        all_ok, any_ok = _subset_check_batch(np.ascontiguousarray(spacings), event.k)
-        return all_ok if event.kind is EventKind.ALL_K_SUBSETS else any_ok
     return _polygon_indicator(event.kind, spacings, event.k)

@@ -41,9 +41,9 @@ from .kernel import beta_int, binomial, fibonacci, pochhammer
 from .montecarlo import (
     DEFAULT_TRIAL_BUDGET,
     MAX_SEED,
-    BudgetExceededError,
     EstimateResult,
     SimulationConfig,
+    check_budget,
     check_workers,
     estimate,
     run_in_order,
@@ -459,7 +459,7 @@ def check_mc_args(trials: int, seed: int, workers: int) -> None:
     """Reject arguments of the mc suite before any suite runs.
 
     trials * n above DEFAULT_TRIAL_BUDGET at the grid's largest n raises
-    BudgetExceededError, as the first estimate at that n would.
+    BudgetExceededError (check_budget), as the first estimate at that n would.
     """
     if trials < 10**4:
         raise ValueError("trials must be >= 10^4")
@@ -467,9 +467,7 @@ def check_mc_args(trials: int, seed: int, workers: int) -> None:
         raise ValueError("seed must be an unsigned 64-bit integer")
     check_workers(workers)
     max_n = max(*(n for _, n, _ in _MC_AGAINST_EXACT), *(n for n, _ in _MC_EQUIVALENCES))
-    if trials * max_n > DEFAULT_TRIAL_BUDGET:
-        raise BudgetExceededError(
-            f"trials*n = {trials * max_n} at n = {max_n} exceeds budget {DEFAULT_TRIAL_BUDGET}")
+    check_budget(trials, max_n, DEFAULT_TRIAL_BUDGET)
 
 
 def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> VerificationReport:

@@ -8,8 +8,10 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from bstick import exact, verify
 from bstick.cli import (
     EXIT_BUDGET,
     EXIT_CAP,
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -46,13 +49,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv, **env_vars):
-    """Run the CLI in a fresh interpreter, so a hang cannot stall the suite."""
+def _cli_env(**env_vars):
     env = dict(os.environ, **env_vars)
     src = str(Path(exact.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_subprocess(*argv, **env_vars):
+    """Run the CLI in a fresh interpreter, so a hang cannot stall the suite."""
     return subprocess.run([sys.executable, "-m", "bstick.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=30)
+                          capture_output=True, text=True, env=_cli_env(**env_vars),
+                          timeout=30)
 
 
 def records_of(out: str):
@@ -339,6 +347,10 @@ def test_simulate_argument_policing(capsys):
     code, _, err = run(capsys, "simulate", "--n", "5", "--event", "exists", "--k", "9",
                        "--trials", "1000")
     assert code == EXIT_USAGE
+    # The brute-force subset oracle is a test reference, not an engine mode.
+    code, _, err = run(capsys, "simulate", "--n", "5", "--event", "all", "--k", "3",
+                       "--trials", "1000", "--use-oracle")
+    assert code == EXIT_USAGE and "--use-oracle" in err
 
 
 def test_simulate_two_pieces_always_exceed_small_threshold(capsys):
@@ -359,6 +371,29 @@ def test_simulate_budget_exit_code(capsys):
         "--trials", "1000000", "--budget", "100000",
     )
     assert code == EXIT_BUDGET and "budget" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_interrupt_exits_130_without_traceback(workers):
+    """Ctrl-C mid-run prints one error line and exits 130.  SIGINT is reset to
+    its default in the child, as an interactive shell does, since a parent run
+    in the background may ignore it; the run would take several seconds."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bstick.cli", "simulate", "--n", "3", "--event", "all",
+         "--k", "3", "--trials", "300000000", "--workers", workers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        time.sleep(1.5)  # past the import, inside the estimate
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED
+    assert out == ""
+    assert err.splitlines() == ["error: interrupted"]
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- verify

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 from bstick import montecarlo
@@ -27,7 +28,7 @@ from bstick.montecarlo import (
     estimate,
     wilson_interval,
 )
-from bstick.sticks import EventSpec, SamplerModel
+from bstick.sticks import EventSpec, SamplerModel, _subset_check_batch, sample_spacings_batch
 from bstick.verify import sampler_equivalence_test
 
 
@@ -91,8 +92,6 @@ def test_simulation_config_validation():
         _config(seed=2**64)
     with pytest.raises(ValueError):
         _config(n=4, event=EventSpec.all_k_subsets(5))
-    with pytest.raises(ValueError):
-        _config(n=16, event=EventSpec.all_k_subsets(3), use_oracle=True)
     with pytest.raises(ValueError):
         _config(chunk_size=0)
 
@@ -313,11 +312,14 @@ def test_estimates_match_exact_values_on_small_grid():
 
 
 def test_oracle_evaluation_gives_same_counts_as_fast_path():
-    fast = estimate(_config(n=6, event=EventSpec.all_k_subsets(3), trials=50_000, seed=8))
-    slow = estimate(
-        _config(n=6, event=EventSpec.all_k_subsets(3), trials=50_000, seed=8, use_oracle=True)
-    )
-    assert fast.successes == slow.successes
+    """The brute-force subset oracle, run on chunk 0's own stream (Philox
+    keyed by (seed, 0)), counts the successes the one-chunk estimate counts."""
+    cfg = _config(n=6, event=EventSpec.all_k_subsets(3), trials=50_000, seed=8)
+    assert cfg.trials <= cfg.chunk_size
+    rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+    rows = sample_spacings_batch(6, cfg.model, rng, cfg.trials)
+    all_ok, _ = _subset_check_batch(rows, 3)
+    assert int(np.count_nonzero(all_ok)) == estimate(cfg).successes
 
 
 def test_interval_coverage_is_near_nominal():

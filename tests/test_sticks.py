@@ -22,6 +22,7 @@ from bstick.sticks import (
     _row_sums,
     _selection_steps,
     _sorted_columns,
+    _subset_check_batch,
     all_k_subsets_polygon,
     event_indicator_batch,
     exists_k_polygon_windowed,
@@ -215,6 +216,10 @@ def test_predicate_input_validation():
     with pytest.raises(ValueError):
         all_k_subsets_polygon([0.5, 0.5], 3)
     with pytest.raises(ValueError):
+        exists_k_polygon_windowed([0.5, 0.25, 0.25], 2)
+    with pytest.raises(ValueError):
+        subset_polygon_oracle([0.5, 0.5], 3)
+    with pytest.raises(ValueError):
         max_spacing_exceeds([0.5, 0.5], 0.0)
     with pytest.raises(ValueError):
         subset_polygon_oracle([1.0 / 16] * 16, 3)
@@ -231,6 +236,42 @@ def test_oracle_on_hand_vectors():
 
 def _random_spacings(rng, n, count):
     return sample_spacings_batch(n, SamplerModel.UNIFORM_BREAKS, rng, count)
+
+
+def _subset_check_loop(spacings, k):
+    """Reference for _subset_check_batch: one gather, max and sum per k-subset."""
+    m, n = spacings.shape
+    all_ok = np.ones(m, dtype=bool)
+    any_ok = np.zeros(m, dtype=bool)
+    for idx in combinations(range(n), k):
+        sub = spacings[:, idx]
+        mx = sub.max(axis=1)
+        ok = mx <= sub.sum(axis=1) - mx
+        all_ok &= ok
+        any_ok |= ok
+    return all_ok, any_ok
+
+
+def _boundary_rows(n):
+    """A tied row (every piece 1/n) and 1/2, 1/4, ..., 2^-(n-1), 2^-(n-1),
+    in which every piece equals the sum of the smaller ones, so some
+    k-subsets sit exactly on the polygon boundary, e.g. (1/2, 1/4, 1/4)."""
+    halves = [2.0 ** -i for i in range(1, n)] + [2.0 ** -(n - 1)]
+    return np.array([[1.0 / n] * n, halves, halves[::-1]])
+
+
+def test_subset_check_batch_equals_the_loop():
+    rng = np.random.default_rng(31)
+    for n in range(3, 11):
+        rows = np.vstack([_random_spacings(rng, n, 100), _boundary_rows(n)])
+        for k in range(3, n + 1):
+            all_ok, any_ok = _subset_check_batch(rows, k)
+            ref_all, ref_any = _subset_check_loop(rows, k)
+            np.testing.assert_array_equal(all_ok, ref_all)
+            np.testing.assert_array_equal(any_ok, ref_any)
+    # On (1/2, 1/4, 1/4) the one triple is degenerate and counts as formed.
+    all_ok, any_ok = _subset_check_batch(np.array([[0.5, 0.25, 0.25]]), 3)
+    assert all_ok[0] and any_ok[0]
 
 
 def test_fast_predicates_match_oracle():
@@ -343,16 +384,16 @@ def test_event_indicator_batch_matches_scalar_predicates():
 
 
 def test_event_indicator_batch_oracle_mode():
+    """The batch indicator equals the brute-force oracle row by row; the
+    oracle refuses n above ORACLE_MAX_N."""
     rng = np.random.default_rng(4)
     rows = _random_spacings(rng, 6, 150)
-    for event in (EventSpec.all_k_subsets(4), EventSpec.exists_k(4)):
-        fast = event_indicator_batch(event, rows)
-        slow = event_indicator_batch(event, rows, use_oracle=True)
-        np.testing.assert_array_equal(fast, slow)
-    with pytest.raises(ValueError):
-        event_indicator_batch(
-            EventSpec.all_k_subsets(3), np.full((2, 16), 1.0 / 16), use_oracle=True
-        )
+    for event, verdict in ((EventSpec.all_k_subsets(4), 0), (EventSpec.exists_k(4), 1)):
+        expected = [subset_polygon_oracle(row, 4)[verdict] for row in rows]
+        np.testing.assert_array_equal(event_indicator_batch(event, rows), expected)
+    assert ORACLE_MAX_N == 15
+    with pytest.raises(ValueError, match="oracle limited"):
+        subset_polygon_oracle(np.full(16, 1.0 / 16), 3)
 
 
 def test_all_k_subsets_reduction_is_the_hardest_subset():
