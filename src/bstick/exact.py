@@ -22,6 +22,7 @@ from .kernel import Rational, beta_int, binomial, falling_product, fibonacci, po
 
 __all__ = [
     "DEFAULT_N_CAP",
+    "MAX_CAP",
     "FORMULAS",
     "CapExceededError",
     "Formula",
@@ -39,6 +40,9 @@ __all__ = [
 
 # Rational bit-growth stays desk-scale up to here; raise explicitly if needed.
 DEFAULT_N_CAP = 200
+# No cap may exceed this.  The slowest FORMULAS value at n = MAX_CAP, Theorem 1
+# near k = n/2, took about 1.0 s on a 2 vCPU Xeon; at n = 1000 it took 2.1 s.
+MAX_CAP = 800
 
 
 class CapExceededError(Exception):
@@ -58,8 +62,11 @@ class ProblemSpec:
 
 
 def _check_cap(n: int, cap: int) -> None:
+    if cap > MAX_CAP:
+        raise CapExceededError(f"cap {cap} exceeds the limit MAX_CAP = {MAX_CAP}")
     if n > cap:
-        raise CapExceededError(f"n={n} exceeds cap {cap}; pass a larger cap to override")
+        raise CapExceededError(
+            f"n={n} exceeds cap {cap}; pass a larger cap, up to MAX_CAP = {MAX_CAP}, to override")
 
 
 def prob_all_kgon(k: int, n: int, cap: int = DEFAULT_N_CAP) -> Rational:

@@ -8,9 +8,9 @@ Four suites (SUITES, in the order "all" runs them):
 * identities -- exact self-tests of the combinatorial identities the formulas
                 rest on; the kernel recurrences are one table (_RECURRENCES)
                 of name -> (cases, identity), run by one loop;
-* lemma3     -- tensor-product Gauss-Legendre quadrature, in numpy, of the
-                iterated integral that powers the general formula, against
-                its exact closed value;
+* lemma3     -- the iterated integral that powers the general formula,
+                integrated exactly in rationals, against its exact closed
+                value (residual must be exactly 0);
 * mc         -- Monte Carlo estimates against exact values, one module-level
                 list of (check id, n, event), plus agreement between the two
                 sampler models.  Its 34 estimates run whole, `workers` at a
@@ -27,14 +27,12 @@ library only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
@@ -58,7 +56,6 @@ __all__ = [
     "check_exact_args",
     "run_exact_crosschecks",
     "run_identity_selftests",
-    "QuadratureError",
     "lemma3_residual",
     "run_lemma3_checks",
     "check_mc_args",
@@ -66,19 +63,6 @@ __all__ = [
     "run_mc_crosschecks",
     "run_all",
 ]
-
-LEMMA3_TOLERANCES = {4: 1e-8, 5: 1e-6, 6: 1e-5}
-
-# The Lemma 3 rule: Gauss-Legendre with LEMMA3_NODES nodes on each of
-# LEMMA3_PANELS panels of [0, 1], each panel twice as wide as the one before
-# it.  Its error estimate is the difference from the rule with 2/3 as many
-# nodes per panel; above LEMMA3_ERROR_BOUND, four orders below the tightest
-# tolerance, the check cannot tell a wrong closed value from a coarse rule, so
-# the entry fails.  Measured on k <= 5, n <= 30 and k = 6, n <= 14 (every j):
-# the estimate stays below 1.2e-13 and the residual below 1.4e-17.
-LEMMA3_NODES = 12
-LEMMA3_PANELS = 6
-LEMMA3_ERROR_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -265,105 +249,64 @@ def lemma3_closed_value(k: int, n: int, j: int) -> Fraction:
     return -Fraction(1, j ** (k - 3)) / pochhammer(Fraction(n - k + 2, j) + 1, k - 2)
 
 
-class QuadratureError(ArithmeticError):
-    """The Lemma 3 rule's error estimate exceeds LEMMA3_ERROR_BOUND."""
+def _lemma3_integral(k: int, n: int, j: int) -> Fraction:
+    """The iterated integral of lemma3_residual, as an exact rational.
 
-
-@functools.cache
-def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the composite rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.concatenate(([0.0], 2.0 ** np.arange(1 - LEMMA3_PANELS, 1)))
-    half = np.diff(edges)[:, None] / 2
-    t = (edges[:-1, None] + half * (x + 1)).ravel()
-    wt = (half * w).ravel()
-    t.flags.writeable = wt.flags.writeable = False
-    return t, wt
-
-
-def _nested_quadrature(k: int, n: int, j: int, nodes: int) -> float:
-    """The iterated integral by the tensor-product rule, `nodes` per panel.
-
-    With d = k - 3 variables y_1 > ... > y_d > 0 the integrand is
-
-        e^(-lam*y_1) * e^(-j*(y_1 + ... + y_(d-1))) * (e^(-2j*y_d) - e^(-j*y_d)),
-
-    lam = n - k + 2.  Level 1 spans [0, x_max]; each inner level is mapped
-    onto [0, y] of its parent node y, so level i holds an array of shape
-    (m,) * i for m nodes per level.  Each level takes one np.exp call, and
-    the levels are summed from the innermost out.
+    The integrand is held as {rate a: coefficient c}, meaning sum c*e^(-a*y).
+    The innermost level is e^(-2j*y) - e^(-j*y).  Each of the k - 4 inner
+    levels integrates c*e^(-a*t) over 0 < t < y, giving (c/a)(1 - e^(-a*y)),
+    then multiplies by e^(-j*y).  The outer level integrates against
+    e^(-lam*y) over y > 0, lam = n - k + 2, giving sum c / (a + lam).  Every
+    rate stays positive, so no polynomial terms appear.
     """
-    t, w = _panel_rule(nodes)
+    terms = {2 * j: Fraction(1), j: Fraction(-1)}
+    for _ in range(k - 4):
+        inner: defaultdict[int, Fraction] = defaultdict(Fraction)
+        for a, c in terms.items():
+            inner[j] += c / a
+            inner[a + j] -= c / a
+        terms = inner
     lam = n - k + 2
-    depth = k - 3
-    x_max = -math.log(1e-16) / lam
-    ys, ws = [x_max * t], [x_max * w]
-    for _ in range(depth - 1):
-        ws.append(ys[-1][..., None] * w)
-        ys.append(ys[-1][..., None] * t)
-    base = lam if depth == 1 else 0
-    terms = np.exp(np.multiply.outer([-(base + 2 * j), -(base + j)], ys[-1]))
-    acc = ((terms[0] - terms[1]) * ws[-1]).sum(axis=-1)
-    for level in range(depth - 2, -1, -1):
-        rate = j + (lam if level == 0 else 0)
-        acc = (np.exp(-rate * ys[level]) * ws[level] * acc).sum(axis=-1)
-    return float(acc)
+    return sum((c / (a + lam) for a, c in terms.items()), Fraction(0))
 
 
-def lemma3_residual(k: int, n: int, j: int) -> float:
-    """|quadrature(LHS) - exact(RHS)| for the iterated-integral identity.
+def lemma3_residual(k: int, n: int, j: int) -> Fraction:
+    """Exact integral minus exact closed value; 0 when the identity holds.
 
     The integral over x in (0, inf) of
 
         e^(-(n-k+2)x) * I_inner(x),
 
     where I_inner nests k-4 more integrals of
-    e^(-j(2*x2 + x3 + ... )) - e^(-j(x2 + ... )) over 0 < x2 < ... < x.
-    The outer integral is truncated where its exponential weight falls
-    below 1e-16; inner regions keep their exact bounds.  The quadrature is
-    the numpy rule of _nested_quadrature with LEMMA3_NODES nodes per panel.
-    Raises QuadratureError when the rule's error estimate, its difference
-    from the rule with 2/3 as many nodes, exceeds LEMMA3_ERROR_BOUND.
+    e^(-j(2*x2 + x3 + ... )) - e^(-j(x2 + ... )) over 0 < x2 < ... < x,
+    is computed in rationals by _lemma3_integral.
     """
     if k not in (4, 5, 6):
-        raise ValueError("quadrature check supports k in {4, 5, 6}")
+        raise ValueError("check supports k in {4, 5, 6}")
     if n < k:
         raise ValueError("need n >= k")
     if not 1 <= j <= n - k + 2:
         raise ValueError("need 1 <= j <= n-k+2")
-    lhs = _nested_quadrature(k, n, j, LEMMA3_NODES)
-    error = abs(lhs - _nested_quadrature(k, n, j, 2 * LEMMA3_NODES // 3))
-    if not error <= LEMMA3_ERROR_BOUND:
-        raise QuadratureError(
-            f"error estimate {error:.3e} exceeds {LEMMA3_ERROR_BOUND:.0e}")
-    rhs = float(lemma3_closed_value(k, n, j))
-    return abs(lhs - rhs)
+    return _lemma3_integral(k, n, j) - lemma3_closed_value(k, n, j)
 
 
 def run_lemma3_checks(
     k_values: tuple[int, ...] = (4, 5), n_max: int = 8, j_max: int = 3
 ) -> VerificationReport:
-    """Quadrature residual entries over a (k, n, j) grid.
+    """Exact entries over a (k, n, j) grid: the integral equals the closed value.
 
-    A quadrature whose error estimate is too large (QuadratureError) marks
-    the entry failed, with actual "quadrature failed: ...", rather than
-    raising.
+    Each entry's expected is the closed value and its actual the integral,
+    closed value plus lemma3_residual; equality decides, as in _exact_entry.
     """
     report = VerificationReport()
     for k in k_values:
-        tol = LEMMA3_TOLERANCES[k]
         for n in range(k, n_max + 1):
             for j in range(1, min(j_max, n - k + 2) + 1):
                 t0 = time.perf_counter()
                 closed = lemma3_closed_value(k, n, j)
-                try:
-                    residual = lemma3_residual(k, n, j)
-                    actual = f"residual={residual:.3e}"
-                except QuadratureError as err:
-                    residual = math.inf
-                    actual = f"quadrature failed: {err}"
-                report.add(_entry(f"lemma3/k={k}/n={n}/j={j}", closed, actual,
-                                  residual, tol, time.perf_counter() - t0))
+                integral = closed + lemma3_residual(k, n, j)
+                report.add(_exact_entry(f"lemma3/k={k}/n={n}/j={j}", closed, integral,
+                                        time.perf_counter() - t0))
     return report
 
 

@@ -219,11 +219,27 @@ def test_exact_cap_exit_code(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ("exact", "--formula", "pnn", "--n", "3000000000", "--cap", "10000000000"),
+    ("exact", "--formula", "theorem1", "--k", "3", "--n", "20000", "--cap", "1000000"),
+])
+def test_cap_above_max_cap_exits_at_once(argv):
+    """A --cap above exact.MAX_CAP exits 3 before any arithmetic.  With no
+    ceiling on the cap, these commands ran for more than 10 s."""
+    t0 = time.perf_counter()
+    proc = run_subprocess(*argv)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == EXIT_CAP and proc.stdout == ""
+    assert f"exceeds the limit MAX_CAP = {exact.MAX_CAP}" in proc.stderr
+    assert elapsed < 1.0
+
+
 def test_exact_value_too_long_to_print_is_a_cap_exit():
     """A value past Python's int-to-str digit limit exits 3 with a message
-    naming that limit, not 2 with Python's own ValueError."""
-    proc = run_subprocess("exact", "--formula", "whitworth", "--n", "20000", "--x", "1/3",
-                          "--cap", "1000000", PYTHONINTMAXSTRDIGITS="4300")
+    naming that limit, not 2 with Python's own ValueError.  The denominator
+    here is 1000001^799, about 4800 digits."""
+    proc = run_subprocess("exact", "--formula", "whitworth", "--n", "800",
+                          "--x", "333334/1000001", "--cap", "800", PYTHONINTMAXSTRDIGITS="4300")
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
     assert "more than 4300 decimal digits, the printable limit" in proc.stderr
 

@@ -3,9 +3,9 @@
 The files under tests/data/ were written by the CLI before the closed forms
 moved into one registry (exact.FORMULAS); the verify-mc and simulate files
 before verify got its one suite runner.  The Monte Carlo outputs are pinned
-too: their streams are bit-identical by contract.  Lemma 3 is left out, since
-its residuals, near 1e-17, depend on the bits of numpy's SIMD exp, which vary
-with the build and the CPU.
+too: their streams are bit-identical by contract.  The lemma3 file is pinned
+since its iterated integral became an exact rational, so its entries no longer
+depend on the floating-point build or the CPU.
 Regenerate a file with
 ``python -m bstick.cli ARGS --format FMT > tests/data/NAME.FMT`` only when a
 change to the output is intended.
@@ -34,6 +34,7 @@ COMMANDS = {
     "table": ["table", "--k", "3:6", "--n", "3:9"],
     "verify-exact": ["verify", "--suite", "exact", "--n-max", "12"],
     "verify-identities": ["verify", "--suite", "identities"],
+    "verify-lemma3": ["verify", "--suite", "lemma3"],
     "verify-mc": ["verify", "--suite", "mc", "--trials", "10000", "--seed", "3"],
     "simulate-all": ["simulate", "--n", "5", "--event", "all", "--k", "3",
                      "--trials", "100000", "--seed", "7"],
@@ -80,9 +81,10 @@ def _above_n_max(row: tuple, n_max: int) -> bool:
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_output_does_not_depend_on_workers(fmt, capsys):
     """verify runs its Monte Carlo estimates --workers at a time.  At 1, 2
-    and 8 workers and the default, the mc suite prints its golden file, and
-    all suites at --n-max 10 print the one-worker report, whose entries other
-    than lemma3 are those of the exact (n <= 10), identities and mc files."""
+    and 8 workers and the default, the lemma3 and mc suites print their
+    golden files, and all suites at --n-max 10 print the one-worker report,
+    whose entries are those of the exact (n <= 10), identities, lemma3 and
+    mc files."""
     verify_all = ["verify", "--suite", "all", "--n-max", "10", "--trials", "10000", "--seed", "3"]
 
     def output(argv):
@@ -90,14 +92,14 @@ def test_verify_output_does_not_depend_on_workers(fmt, capsys):
         return capsys.readouterr().out
 
     golden = {name: (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
-              for name in ("verify-exact", "verify-identities", "verify-mc")}
+              for name in ("verify-exact", "verify-identities", "verify-lemma3", "verify-mc")}
     pinned = sorted(row for text in golden.values() for row in _rows(text, fmt)
                     if not _above_n_max(row, 10))
     reference = output(verify_all + ["--workers", "1"])
-    assert sorted(row for row in _rows(reference, fmt)
-                  if not row[0][1].startswith("lemma3/")) == pinned
+    assert sorted(_rows(reference, fmt)) == pinned
     for workers in (["--workers", "1"], ["--workers", "2"], ["--workers", "8"], []):
-        assert _mask(output(COMMANDS["verify-mc"] + workers), fmt) == _mask(golden["verify-mc"], fmt)
+        for name in ("verify-lemma3", "verify-mc"):
+            assert _mask(output(COMMANDS[name] + workers), fmt) == _mask(golden[name], fmt)
         assert _mask(output(verify_all + workers), fmt) == _mask(reference, fmt)
 
 

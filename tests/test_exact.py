@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bstick import exact
 from bstick.exact import (
     DEFAULT_N_CAP,
+    FORMULAS,
+    MAX_CAP,
     CapExceededError,
     ProblemSpec,
     alternating_factorial_identity,
@@ -209,3 +212,19 @@ def test_cap_enforcement():
         whitworth_survivor(DEFAULT_N_CAP + 1, F(1, 2))
     # an explicit larger cap lifts the guard
     assert prob_all_ngon(DEFAULT_N_CAP + 1, cap=DEFAULT_N_CAP + 1) < 1
+
+
+def test_cap_above_max_cap_is_refused_before_any_arithmetic(monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic ran past the cap check")
+
+    for name in ("binomial", "falling_product", "beta_int", "fibonacci"):
+        monkeypatch.setattr(exact, name, no_arithmetic)
+    args = {"k": 5, "x": F(1, 3), None: None}
+    for formula in FORMULAS.values():
+        with pytest.raises(CapExceededError, match=f"exceeds the limit MAX_CAP = {MAX_CAP}"):
+            formula.evaluate(9, args[formula.arg], MAX_CAP + 1)
+    with pytest.raises(CapExceededError, match=f"up to MAX_CAP = {MAX_CAP}"):
+        prob_all_ngon(MAX_CAP + 1, cap=MAX_CAP)
+    monkeypatch.undo()
+    assert prob_all_ngon(MAX_CAP, cap=MAX_CAP) < 1

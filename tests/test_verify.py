@@ -23,7 +23,6 @@ from bstick.montecarlo import (
 from bstick.verify import (
     VerificationEntry,
     VerificationReport,
-    LEMMA3_TOLERANCES,
     check_mc_args,
     lemma3_closed_value,
     lemma3_residual,
@@ -107,8 +106,8 @@ def test_lemma3_closed_value_k5_partial_fractions():
 
 
 def test_lemma3_residual_values():
-    assert lemma3_residual(4, 5, 1) <= 1e-10
-    assert lemma3_residual(5, 7, 2) <= 1e-8
+    assert lemma3_residual(4, 5, 1) == 0
+    assert lemma3_residual(5, 7, 2) == 0
     with pytest.raises(ValueError):
         lemma3_residual(7, 9, 1)
     with pytest.raises(ValueError):
@@ -117,49 +116,43 @@ def test_lemma3_residual_values():
         lemma3_residual(4, 6, 5)  # j beyond n-k+2
 
 
+def test_lemma3_integral_equals_closed_value_over_a_wide_grid():
+    """The exact integral holds the closed value beyond the suite's k range."""
+    for k in range(4, 13):
+        for n in range(k, 21):
+            for j in range(1, n - k + 3):
+                assert verify._lemma3_integral(k, n, j) == lemma3_closed_value(k, n, j), (k, n, j)
+
+
 def test_lemma3_checks_within_tolerance():
     report = run_lemma3_checks()
     assert report.all_passed
     assert len(report) == 25  # grid size for k in {4,5}, n <= 8, j <= min(3, n-k+2)
     for entry in report:
-        k = int(entry.check_id.split("/")[1].split("=")[1])
-        assert entry.tolerance == LEMMA3_TOLERANCES[k]
-        assert entry.residual <= 1e-12
+        assert entry.tolerance == 0.0 and entry.residual == 0.0
+        assert entry.actual == entry.expected
 
 
 def test_lemma3_checks_k6_also_available():
     report = run_lemma3_checks(k_values=(6,), n_max=9, j_max=3)
     assert report.all_passed
     assert all(e.check_id.startswith("lemma3/k=6/") for e in report)
-    assert all(e.residual <= 1e-12 for e in report)
+    assert all(e.residual == 0.0 for e in report)
 
 
-@pytest.mark.parametrize("k, n, j", [(4, 4, 1), (4, 8, 3), (5, 5, 1), (5, 8, 3)])
+@pytest.mark.parametrize("k, n, j", [(4, 4, 1), (4, 8, 3), (5, 5, 1), (5, 8, 3),
+                                     (6, 6, 1), (6, 9, 3)])
 def test_lemma3_check_detects_a_perturbed_closed_value(monkeypatch, k, n, j):
     closed = lemma3_closed_value(k, n, j)
-    # The residual resolves a relative 1e-6 change of the closed value.
-    monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: closed * (1 + F(1, 10**6)))
-    shift = float(abs(closed)) * 1e-6
-    assert abs(lemma3_residual(k, n, j) - shift) <= 1e-12
-    # An entry fails once the change exceeds its absolute tolerance: at k = 4
-    # a relative 1e-6 does (|closed| >= 1/56 > 1e-2), at k = 5 (tolerance 1e-6,
-    # |closed| <= 1/60) it takes a relative 1e-3.
-    relative = F(1, 10**6) if k == 4 else F(1, 10**3)
-    monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: closed * (1 + relative))
+    # One part in 10^30 is far below double precision; equality still sees it.
+    perturbed = closed * (1 + F(1, 10**30))
+    assert float(perturbed) == float(closed)
+    monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: perturbed)
+    assert lemma3_residual(k, n, j) == closed - perturbed
     entry = run_lemma3_checks(k_values=(k,), n_max=n, j_max=j).entries[-1]
     assert entry.check_id == f"lemma3/k={k}/n={n}/j={j}"
-    assert not entry.passed and entry.residual > LEMMA3_TOLERANCES[k]
-
-
-def test_lemma3_coarse_rule_fails_entries_without_raising(monkeypatch):
-    monkeypatch.setattr(verify, "LEMMA3_NODES", 2)
-    report = run_lemma3_checks()
-    assert len(report) == 25 and not any(e.passed for e in report)
-    for entry in report:
-        assert entry.actual.startswith("quadrature failed: error estimate ")
-        assert entry.residual == float("inf")
-    with pytest.raises(verify.QuadratureError):
-        lemma3_residual(4, 5, 1)
+    assert not entry.passed and entry.tolerance == 0.0
+    assert entry.expected == str(perturbed) and entry.actual == str(closed)
 
 
 def test_mc_crosschecks_pass_and_are_labeled():
@@ -309,12 +302,14 @@ for argv in (["exact", "--formula", "theorem1", "--k", "4", "--n", "9"],
              ["verify", "--suite", "all", "--n-max", "5", "--trials", "10000", "--seed", "0"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-    assert "scipy" not in sys.modules, f"bstick {argv[0]} loaded scipy"
+    for module in ("scipy", "numpy.polynomial"):
+        assert module not in sys.modules, f"bstick {argv[0]} loaded {module}"
 """
 
 
 def test_no_subcommand_loads_scipy():
-    """A fresh interpreter runs every subcommand, verify with all its suites."""
+    """A fresh interpreter runs every subcommand, verify with all its suites.
+    None loads scipy, nor numpy.polynomial: lemma3 integrates in rationals."""
     env = dict(os.environ)
     src = str(Path(bstick.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
