@@ -25,7 +25,6 @@ from typing import Any
 from . import exact, verify
 from .exact import DEFAULT_N_CAP, CapExceededError
 from .montecarlo import (
-    DEFAULT_CHUNK_SIZE,
     DEFAULT_TRIAL_BUDGET,
     MAX_SEED,
     MAX_WORKERS,
@@ -66,12 +65,21 @@ def fraction_to_decimal(f: Fraction, digits: int = 12) -> str:
         return str(Decimal(f.numerator) / Decimal(f.denominator)).lower()
 
 
+def _digit_limit() -> int:
+    """The most decimal digits int() converts (0: no limit)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'num/den' exactly, or a decimal, snapped to denominator <= 10^6."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
+        # Fraction builds 10^exponent: hold it to the digit limit int() sets on num/den.
+        _, e, exponent = text.lower().partition("e")
+        if e and 0 < _digit_limit() < abs(int(exponent)):
+            raise ValueError
         return Fraction(text).limit_denominator(10**6)
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"cannot parse rational value {text!r}") from err
@@ -100,7 +108,7 @@ def _check_printable(value: Fraction) -> None:
     Python prints an int of at most sys.get_int_max_str_digits() decimal
     digits (0: no limit) and raises its own ValueError beyond that.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     largest = max(abs(value.numerator), value.denominator)
     # Fewer than 3 * limit bits is fewer than limit digits, since 2^3 < 10.
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
@@ -221,6 +229,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n_lo, n_hi = parse_range(args.n)
     if k_lo < 3:
         raise ValueError("k range must start at 3 or above")
+    exact._check_cap(n_hi, args.cap)
     records = []
     # Cells with k > n are empty: no k beyond the largest n is visited.
     for k in range(k_lo, min(k_hi, n_hi) + 1):
@@ -246,10 +255,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     event = _build_event(args)
     model = SamplerModel(args.model)
-    config = SimulationConfig(
-        n=args.n, event=event, model=model, trials=args.trials,
-        seed=seed, chunk_size=args.chunk_size,
-    )
+    config = SimulationConfig(n=args.n, event=event, model=model, trials=args.trials, seed=seed)
     result = estimate(config, workers=args.workers, budget=args.budget)
     rec = _record(
         "estimate", k=event.k, n=args.n, event=event.label(),
@@ -320,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="default: BSTICK_SEED environment variable, else 0")
     p_sim.add_argument("--model", choices=["uniform", "exponential"], default="uniform")
-    p_sim.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     p_sim.add_argument("--workers", type=int, default=1,
                        help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS})")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)

@@ -47,10 +47,7 @@ def falling_product(n: int, m: int) -> int:
         raise ValueError("falling_product requires n >= 1")
     if not 0 <= m <= n:
         raise ValueError("falling_product requires 0 <= m <= n")
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
+    return math.perm(n, m)
 
 
 def fibonacci(j: int) -> int:

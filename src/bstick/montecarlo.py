@@ -1,11 +1,11 @@
 """Reproducible, chunk-parallel Monte Carlo estimation of polygon-event probabilities.
 
-Reproducibility contract: the trial stream is split into fixed-size chunks and
-chunk c draws from a Philox4x64-10 counter-based generator keyed by the two
-64-bit words (seed, c).  Each trial consumes a fixed number of uniform draws
-(see SamplerModel.draws_per_trial), so the indicator stream is a pure function
-of (seed, chunk index, offset within chunk) and results are bitwise identical
-for a given config however the one scheduler, run_in_order, spreads chunks.
+Reproducibility contract: the trial stream is split into chunks of CHUNK_SIZE
+trials and chunk c draws from a Philox4x64-10 counter-based generator keyed by
+the two 64-bit words (seed, c).  Each trial consumes a fixed number of uniform
+draws (see SamplerModel.draws_per_trial), so the indicator stream is a pure
+function of (seed, chunk index, offset within chunk) and (seed, trials, n,
+event, model) fix an estimate bitwise however run_in_order spreads chunks.
 
 Within a chunk, trials are drawn and tested in consecutive sub-blocks of about
 BLOCK_VALUES spacing values, which bounds a chunk's memory (n is capped at
@@ -45,7 +45,7 @@ from .sticks import (
 
 __all__ = [
     "GENERATOR_ID",
-    "DEFAULT_CHUNK_SIZE",
+    "CHUNK_SIZE",
     "DEFAULT_TRIAL_BUDGET",
     "MAX_N",
     "MAX_SEED",
@@ -65,7 +65,8 @@ __all__ = [
 # draw layout or generator ever changes.
 GENERATOR_ID = "philox4x64-10/key=(seed,chunk):v1"
 
-DEFAULT_CHUNK_SIZE = 1 << 16
+# Trials per chunk, part of the stream layout: changing it changes estimates.
+CHUNK_SIZE = 1 << 16
 
 # Guard on trials * n, the total spacing values a run would draw and test.
 # Memory is bounded separately: a chunk is worked in sub-blocks of about
@@ -147,7 +148,7 @@ class BudgetExceededError(Exception):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything that determines an estimate bit-for-bit (plus chunking).
+    """Everything that determines an estimate bit-for-bit.
 
     Events are always tested by the reduced predicates of
     event_indicator_batch; the brute-force subset_polygon_oracle is a test
@@ -159,15 +160,12 @@ class SimulationConfig:
     model: SamplerModel
     trials: int
     seed: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.event.validate_for(self.n)
@@ -180,7 +178,6 @@ class EstimateResult:
     successes: int
     ci_low: float
     ci_high: float
-    ci_level: float
     seed: int
     model: SamplerModel
     generator_id: str = GENERATOR_ID
@@ -216,8 +213,8 @@ def _philox_key(seed: int, chunk_index: int) -> np.ndarray:
 
 
 def _chunk_successes(config: SimulationConfig, chunk_index: int) -> int:
-    start = chunk_index * config.chunk_size
-    count = min(config.chunk_size, config.trials - start)
+    start = chunk_index * CHUNK_SIZE
+    count = min(CHUNK_SIZE, config.trials - start)
     rng = np.random.Generator(np.random.Philox(key=_philox_key(config.seed, chunk_index)))
     rows = max(1, BLOCK_VALUES // config.n)
     successes = 0
@@ -237,25 +234,23 @@ def estimate(
     config: SimulationConfig,
     workers: int = 1,
     budget: int = DEFAULT_TRIAL_BUDGET,
-    ci_level: float = 0.95,
 ) -> EstimateResult:
-    """Run config.trials independent trials and return the estimate.
+    """Run config.trials independent trials; return the estimate and its 95% interval.
 
     Chunks run through run_in_order on `workers` threads; per-chunk success
     counts are summed as integers, so the result does not depend on workers.
     """
     check_workers(workers)
     check_budget(config.trials, config.n, budget)
-    n_chunks = ceil(config.trials / config.chunk_size)
+    n_chunks = ceil(config.trials / CHUNK_SIZE)
     successes = sum(run_in_order(partial(_chunk_successes, config), range(n_chunks), workers))
-    low, high = wilson_interval(successes, config.trials, ci_level)
+    low, high = wilson_interval(successes, config.trials)
     return EstimateResult(
         p_hat=successes / config.trials,
         trials=config.trials,
         successes=successes,
         ci_low=low,
         ci_high=high,
-        ci_level=ci_level,
         seed=config.seed,
         model=config.model,
     )

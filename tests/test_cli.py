@@ -8,6 +8,8 @@ import io
 import itertools
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -80,9 +82,20 @@ def test_parse_rational():
     assert parse_rational("7") == 7
     # decimals snap to denominators up to 10^6
     assert parse_rational("0.333333") == F(333333, 1000000)
-    for bad in ("", "a/b", "1/0", "one"):
+    for bad in ("", "a/b", "1/0", "one", "1e"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_bounds_a_decimal_exponent_by_the_digit_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 700)
+    assert parse_rational("1e-700") == 0  # snapped to a denominator <= 10^6
+    assert parse_rational("1E+700") == 10**700
+    for bad in ("1e-701", "1e701", "0.5e7_01"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_rational(bad)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    assert parse_rational("1e-701") == 0
 
 
 def test_parse_range():
@@ -222,15 +235,33 @@ def test_exact_cap_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("exact", "--formula", "pnn", "--n", "3000000000", "--cap", "10000000000"),
     ("exact", "--formula", "theorem1", "--k", "3", "--n", "20000", "--cap", "1000000"),
+    ("table", "--k", "10:12", "--n", "3:5", "--cap", "100000"),
 ])
 def test_cap_above_max_cap_exits_at_once(argv):
-    """A --cap above exact.MAX_CAP exits 3 before any arithmetic.  With no
-    ceiling on the cap, these commands ran for more than 10 s."""
+    """A --cap above exact.MAX_CAP exits 3 before any arithmetic, even for a
+    table with no cells.  With no ceiling on the cap, the exact commands ran
+    for more than 10 s."""
     t0 = time.perf_counter()
     proc = run_subprocess(*argv)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
     assert f"exceeds the limit MAX_CAP = {exact.MAX_CAP}" in proc.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("x", ["1e-10000000", "1e+10000000"])
+@pytest.mark.parametrize("command", [
+    ("simulate", "--n", "5", "--event", "max-spacing", "--trials", "1000"),
+    ("exact", "--formula", "whitworth", "--n", "5"),
+])
+def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x):
+    """A decimal --x whose exponent exceeds the int digit limit is a usage
+    error, refused before 10^exponent is built (1e-10000000 took 37 s)."""
+    t0 = time.perf_counter()
+    proc = run_subprocess(*command, "--x", x)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert "cannot parse rational value" in proc.stderr
     assert elapsed < 1.0
 
 
@@ -520,6 +551,19 @@ def test_verify_workers_default_to_the_usable_cpus(monkeypatch, cpus, expected):
     assert default_workers() == expected
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert default_workers() == 1
+
+
+def test_readme_command_lines_parse():
+    """Every `bstick ...` line in README's sh blocks parses, so a deleted
+    option cannot stay in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("bstick ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_unknown_command_and_help(capsys):

@@ -17,7 +17,7 @@ from bstick.cli import main
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
     BLOCK_VALUES,
-    DEFAULT_CHUNK_SIZE,
+    CHUNK_SIZE,
     GENERATOR_ID,
     IN_FLIGHT_PER_WORKER,
     MAX_N,
@@ -92,8 +92,17 @@ def test_simulation_config_validation():
         _config(seed=2**64)
     with pytest.raises(ValueError):
         _config(n=4, event=EventSpec.all_k_subsets(5))
-    with pytest.raises(ValueError):
-        _config(chunk_size=0)
+
+
+def test_chunk_size_and_interval_level_are_not_settings():
+    """An estimate is fixed by (seed, trials, n, event, model): the chunk size
+    is the constant CHUNK_SIZE and the interval is always the 95% one."""
+    with pytest.raises(TypeError):
+        _config(chunk_size=1000)
+    with pytest.raises(TypeError):
+        estimate(_config(trials=10), ci_level=0.9)
+    assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000",
+                 "--chunk-size", "1000"]) == 2
 
 
 def test_budget_guard():
@@ -155,10 +164,11 @@ class FakeExecutor:
 @pytest.mark.parametrize("workers, chunks", [(2, 7), (5, 3), (MAX_WORKERS, 1000)])
 def test_chunk_futures_are_bounded_per_worker(monkeypatch, workers, chunks):
     """One pool of at most one thread per chunk, and one task per chunk; at
-    chunk_size = 1 the futures alive at once stay within IN_FLIGHT_PER_WORKER
-    per thread however many chunks there are.  The counts equal the serial
-    run.  No real thread is started."""
-    cfg = _config(n=5, event=EventSpec.exists_k(3), trials=chunks, chunk_size=1, seed=3)
+    one trial per chunk the futures alive at once stay within
+    IN_FLIGHT_PER_WORKER per thread however many chunks there are.  The
+    counts equal the serial run.  No real thread is started."""
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1)
+    cfg = _config(n=5, event=EventSpec.exists_k(3), trials=chunks, seed=3)
     expected = estimate(cfg).successes
     FakeExecutor.instances.clear()
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
@@ -199,8 +209,9 @@ def test_failing_chunk_cancels_the_queued_chunks(monkeypatch, workers):
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(montecarlo, "_chunk_successes", fake_chunk)
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 10)
     with pytest.raises(_ChunkFailed):
-        estimate(_config(trials=1000, chunk_size=10), workers=workers)
+        estimate(_config(trials=1000), workers=workers)
     assert set(range(failing + 1)) <= set(started)
     assert max(started) <= failing + IN_FLIGHT_PER_WORKER * workers
 
@@ -209,9 +220,9 @@ def test_too_many_workers_is_rejected_before_any_pool(monkeypatch):
     FakeExecutor.instances.clear()
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
     with pytest.raises(ValueError, match="workers"):
-        estimate(_config(trials=10**6, chunk_size=1), workers=MAX_WORKERS + 1)
+        estimate(_config(trials=10**6), workers=MAX_WORKERS + 1)
     assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000",
-                 "--chunk-size", "1", "--workers", str(MAX_WORKERS + 1)]) == 2
+                 "--workers", str(MAX_WORKERS + 1)]) == 2
     assert FakeExecutor.instances == []
 
 
@@ -236,12 +247,12 @@ def test_n_above_max_n_is_rejected_before_allocating():
 
 
 @pytest.mark.parametrize("model", list(SamplerModel))
-def test_threads_keep_their_scratch_arrays_apart(model):
+def test_threads_keep_their_scratch_arrays_apart(monkeypatch, model):
     """Each worker thread works its sub-blocks in its own scratch arrays: with
     many small chunks on more threads than cores and frequent thread switches,
     the counts still equal the one-worker run."""
-    cfg = _config(n=6, event=EventSpec.exists_k(3), model=model, trials=120_000, seed=4,
-                  chunk_size=1_500)
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1_500)
+    cfg = _config(n=6, event=EventSpec.exists_k(3), model=model, trials=120_000, seed=4)
     expected = estimate(cfg).successes
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -254,11 +265,11 @@ def test_threads_keep_their_scratch_arrays_apart(model):
 def test_partial_final_chunk_consumes_a_chunk_prefix():
     """Truncating the trial count only drops trailing trials: success counts
     nest monotonically as the stream is extended."""
-    whole = estimate(_config(trials=2 * DEFAULT_CHUNK_SIZE, seed=7))
-    part = estimate(_config(trials=2 * DEFAULT_CHUNK_SIZE + 1000, seed=7))
-    full = estimate(_config(trials=3 * DEFAULT_CHUNK_SIZE, seed=7))
+    whole = estimate(_config(trials=2 * CHUNK_SIZE, seed=7))
+    part = estimate(_config(trials=2 * CHUNK_SIZE + 1000, seed=7))
+    full = estimate(_config(trials=3 * CHUNK_SIZE, seed=7))
     assert whole.successes <= part.successes <= full.successes
-    again = estimate(_config(trials=2 * DEFAULT_CHUNK_SIZE + 1000, seed=7))
+    again = estimate(_config(trials=2 * CHUNK_SIZE + 1000, seed=7))
     assert part.successes == again.successes
 
 
@@ -315,7 +326,7 @@ def test_oracle_evaluation_gives_same_counts_as_fast_path():
     """The brute-force subset oracle, run on chunk 0's own stream (Philox
     keyed by (seed, 0)), counts the successes the one-chunk estimate counts."""
     cfg = _config(n=6, event=EventSpec.all_k_subsets(3), trials=50_000, seed=8)
-    assert cfg.trials <= cfg.chunk_size
+    assert cfg.trials <= CHUNK_SIZE
     rng = np.random.Generator(np.random.Philox(key=[8, 0]))
     rows = sample_spacings_batch(6, cfg.model, rng, cfg.trials)
     all_ok, _ = _subset_check_batch(rows, 3)
@@ -348,7 +359,7 @@ def test_sampler_equivalence_entry():
 _FREEZE_RUNS = (  # (trials, chunk_size, seed)
     (1000, 256, 2**64 - 1),  # partial last chunk, largest seed
     (37, 1, 12345),  # one trial per chunk
-    (70_000, DEFAULT_CHUNK_SIZE, 3),  # one full default chunk and a partial one
+    (70_000, CHUNK_SIZE, 3),  # one full chunk and a partial one
 )
 
 # (n, model, event label, successes per run); n = 40 runs 5000 trials in place of 70 000.
@@ -417,13 +428,14 @@ def _event_from_label(label):
 
 
 @pytest.mark.parametrize("n, model, label, frozen", _FROZEN_SUCCESSES)
-def test_success_counts_are_frozen(n, model, label, frozen):
+def test_success_counts_are_frozen(monkeypatch, n, model, label, frozen):
     counts = []
     for trials, chunk_size, seed in _FREEZE_RUNS:
         if trials > 10_000 and n > 12:
             trials = 5000
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk_size)
         cfg = SimulationConfig(n=n, event=_event_from_label(label), model=SamplerModel(model),
-                               trials=trials, seed=seed, chunk_size=chunk_size)
+                               trials=trials, seed=seed)
         counts.append(estimate(cfg).successes)
     assert tuple(counts) == frozen
 

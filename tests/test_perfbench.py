@@ -28,7 +28,7 @@ def test_benchmark_selfcheck_passes():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_tracer_sees_one_sample_span_per_sub_block():
+def test_tracer_sees_one_sample_span_per_sub_block(monkeypatch):
     """The tracer rebinds montecarlo.sample_spacings_batch and
     event_indicator_batch and counts sample rows from the returned shape, so
     the chunk loop must call both by those names, once per sub-block, on a
@@ -38,9 +38,9 @@ def test_tracer_sees_one_sample_span_per_sub_block():
     rows = BLOCK_VALUES // n
     chunk_size = rows + 1000
     trials = 2 * chunk_size + 17  # chunks of 2, 2 and 1 sub-blocks
+    monkeypatch.setattr(bstick.montecarlo, "CHUNK_SIZE", chunk_size)
     cfg = SimulationConfig(n=n, event=EventSpec.all_k_subsets(3),
-                           model=SamplerModel.UNIFORM_BREAKS, trials=trials, seed=1,
-                           chunk_size=chunk_size)
+                           model=SamplerModel.UNIFORM_BREAKS, trials=trials, seed=1)
     tracer = tracing.Tracer()
     tracer.install(bstick)
     try:

@@ -256,7 +256,7 @@ def test_mc_suite_cancels_queued_estimates_when_one_raises(monkeypatch, workers)
         if index > failing:
             assert released.wait(timeout=30)
         return EstimateResult(p_hat=0.5, trials=2, successes=1, ci_low=0.0, ci_high=1.0,
-                              ci_level=0.95, seed=config.seed, model=config.model)
+                              seed=config.seed, model=config.model)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(verify, "estimate", fake_estimate)
