@@ -8,6 +8,9 @@ cases it generalizes (all n pieces, triangles, the Beta forms for k = 4 and 5)
 and the related Whitworth and exists-triangle forms are kept as independent
 closed forms.  :data:`FORMULAS` lists every form by its command-line name,
 with the options it takes and the Theorem 1 cross-check that holds it.
+
+Every closed form refuses n above :data:`MAX_CAP` before any arithmetic, and
+the Whitworth form also refuses work above :data:`WHITWORTH_WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Any, Callable, Iterable
 from .kernel import Rational, beta_int, binomial, falling_product, fibonacci, pochhammer
 
 __all__ = [
-    "DEFAULT_N_CAP",
     "MAX_CAP",
+    "WHITWORTH_WORK_BUDGET",
     "FORMULAS",
     "CapExceededError",
     "Formula",
@@ -38,15 +41,17 @@ __all__ = [
     "alternating_factorial_identity",
 ]
 
-# Rational bit-growth stays desk-scale up to here; raise explicitly if needed.
-DEFAULT_N_CAP = 200
-# No cap may exceed this.  The slowest FORMULAS value at n = MAX_CAP, Theorem 1
+# The largest n of every closed form.  The slowest FORMULAS value here, Theorem 1
 # near k = n/2, took about 1.0 s on a 2 vCPU Xeon; at n = 1000 it took 2.1 s.
 MAX_CAP = 800
+# whitworth_survivor's work: terms * ((n - 1) * bits of x's denominator)^2.
+# Each term's power and gcd act on integers of (n - 1) * bits bits, at about
+# 2.5e-12 s per unit on a 2 vCPU Xeon, so this budget is about 1 s.
+WHITWORTH_WORK_BUDGET = 4 * 10**11
 
 
 class CapExceededError(Exception):
-    """Piece count exceeds the configured exact-arithmetic cap."""
+    """An exact value's n or work exceeds its bound, or it is too long to print."""
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,12 @@ class ProblemSpec:
             raise ValueError(f"need 3 <= k <= n, got k={self.k}, n={self.n}")
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if cap > MAX_CAP:
-        raise CapExceededError(f"cap {cap} exceeds the limit MAX_CAP = {MAX_CAP}")
-    if n > cap:
-        raise CapExceededError(
-            f"n={n} exceeds cap {cap}; pass a larger cap, up to MAX_CAP = {MAX_CAP}, to override")
+def _check_cap(n: int) -> None:
+    if n > MAX_CAP:
+        raise CapExceededError(f"n={n} exceeds the limit MAX_CAP = {MAX_CAP}")
 
 
-def prob_all_kgon(k: int, n: int, cap: int = DEFAULT_N_CAP) -> Rational:
+def prob_all_kgon(k: int, n: int) -> Rational:
     """Probability that every choice of k pieces out of n forms a k-gon.
 
     Theorem 1, with m = n-k+2:
@@ -83,7 +85,7 @@ def prob_all_kgon(k: int, n: int, cap: int = DEFAULT_N_CAP) -> Rational:
     the same rational with no Fraction arithmetic inside the term.
     """
     spec = ProblemSpec(k, n)
-    _check_cap(spec.n, cap)
+    _check_cap(spec.n)
     m = n - k + 2
     total = Fraction(0)
     for j in range(1, m + 1):
@@ -92,36 +94,36 @@ def prob_all_kgon(k: int, n: int, cap: int = DEFAULT_N_CAP) -> Rational:
     return Fraction(falling_product(n, k - 2), m) * total
 
 
-def prob_all_ngon(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
+def prob_all_ngon(n: int) -> Rational:
     """Probability that the n pieces themselves form an n-gon: 1 - n/2^(n-1)."""
     if n < 3:
         raise ValueError("prob_all_ngon requires n >= 3")
-    _check_cap(n, cap)
+    _check_cap(n)
     return 1 - Fraction(n, 2 ** (n - 1))
 
 
-def prob_all_triangle(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
+def prob_all_triangle(n: int) -> Rational:
     """Probability that every triple of the n pieces forms a triangle: 1/C(2n-2, n)."""
     if n < 3:
         raise ValueError("prob_all_triangle requires n >= 3")
-    _check_cap(n, cap)
+    _check_cap(n)
     return Fraction(1, binomial(2 * n - 2, n))
 
 
-def prob_all_quadrilateral_beta(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
+def prob_all_quadrilateral_beta(n: int) -> Rational:
     """Every-4-subset probability via its Beta-function form.
 
     [n(n-1)/(n-2)] * ( B(n-1, (n-2)/2)/2 - B(n-1, n-2) ), exactly.
     """
     if n < 4:
         raise ValueError("prob_all_quadrilateral_beta requires n >= 4")
-    _check_cap(n, cap)
+    _check_cap(n)
     a = n - 1
     combo = Fraction(1, 2) * beta_int(a, Fraction(n - 2, 2)) - beta_int(a, n - 2)
     return Fraction(n * (n - 1), n - 2) * combo
 
 
-def prob_all_pentagon_beta(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
+def prob_all_pentagon_beta(n: int) -> Rational:
     """Every-5-subset probability via its Beta-function form.
 
     [n(n-1)(n-2)/(n-3)^2] *
@@ -129,7 +131,7 @@ def prob_all_pentagon_beta(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
     """
     if n < 5:
         raise ValueError("prob_all_pentagon_beta requires n >= 5")
-    _check_cap(n, cap)
+    _check_cap(n)
     a = n - 2
     combo = (
         Fraction(1, 2) * beta_int(a, Fraction(n - 3, 3))
@@ -139,24 +141,32 @@ def prob_all_pentagon_beta(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
     return Fraction(n * (n - 1) * (n - 2), (n - 3) ** 2) * combo
 
 
-def whitworth_survivor(n: int, x: Rational, cap: int = DEFAULT_N_CAP) -> Rational:
+def whitworth_survivor(n: int, x: Rational) -> Rational:
     """P(largest spacing > x) for n uniform spacings of the unit interval.
 
     Inclusion-exclusion sum over j with jx < 1:
         sum (-1)^{j+1} (1 - jx)^{n-1} C(n, j)
+
+    Raises CapExceededError before the first power when the sum's work,
+    terms * ((n - 1) * bits of x's denominator)^2, exceeds
+    WHITWORTH_WORK_BUDGET.
     """
     if n < 2:
         raise ValueError("whitworth_survivor requires n >= 2")
-    _check_cap(n, cap)
+    _check_cap(n)
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("whitworth_survivor requires 0 < x < 1")
+    terms = min(n, (x.denominator - 1) // x.numerator)  # the j >= 1 with jx < 1
+    bits = x.denominator.bit_length()
+    if terms * ((n - 1) * bits) ** 2 > WHITWORTH_WORK_BUDGET:
+        raise CapExceededError(
+            f"whitworth at n={n} with {terms} terms and a {bits}-bit denominator of x "
+            f"exceeds the work bound WHITWORTH_WORK_BUDGET = {WHITWORTH_WORK_BUDGET}")
     total = Fraction(0)
-    j = 1
-    while j * x < 1 and j <= n:
+    for j in range(1, terms + 1):
         term = (1 - j * x) ** (n - 1) * binomial(n, j)
         total += term if j % 2 == 1 else -term
-        j += 1
     return total
 
 
@@ -173,14 +183,14 @@ def joint_spacing_survivor(c: Iterable[Rational]) -> Rational:
     return (1 - s) ** (len(cs) - 1)
 
 
-def prob_exists_triangle(n: int, cap: int = DEFAULT_N_CAP) -> Rational:
+def prob_exists_triangle(n: int) -> Rational:
     """Probability that some triple of the n pieces forms a triangle.
 
     1 - n! * prod_{j=2}^{n} (F_{j+2} - 1)^{-1}, with F_1 = F_2 = 1.
     """
     if n < 3:
         raise ValueError("prob_exists_triangle requires n >= 3")
-    _check_cap(n, cap)
+    _check_cap(n)
     denom = 1
     for j in range(2, n + 1):
         denom *= fibonacci(j + 2) - 1
@@ -205,14 +215,14 @@ def alternating_factorial_identity(k: int) -> bool:
 class Formula:
     """One closed form, as `bstick exact` and the exact cross-checks use it.
 
-    ``evaluate(n, arg, cap)`` returns the exact value, where ``arg`` is the
+    ``evaluate(n, arg)`` returns the exact value, where ``arg`` is the
     value of the form's own option (``arg`` names it: "k", "x" or None).
     ``k_of_n`` gives the polygon size of a fixed-polygon form, recorded as the
     record's k.  ``check`` names the `verify --suite exact` check that holds
     the form equal to Theorem 1 at k_of_n(n), for every n with k_of_n(n) <= n.
     """
 
-    evaluate: Callable[[int, Any, int], Rational]
+    evaluate: Callable[[int, Any], Rational]
     arg: str | None = None
     k_of_n: Callable[[int], int] | None = None
     check: str | None = None
@@ -221,16 +231,13 @@ class Formula:
 # The lambdas look each function up in this module's globals at call time, so
 # a rebinding of a module attribute (the benchmark's tracer) sees every call.
 FORMULAS: dict[str, Formula] = {
-    "theorem1": Formula(lambda n, k, cap: prob_all_kgon(k, n, cap=cap), arg="k"),
-    "pnn": Formula(lambda n, _, cap: prob_all_ngon(n, cap=cap),
-                   k_of_n=lambda n: n, check="ngon-closed"),
-    "p3n": Formula(lambda n, _, cap: prob_all_triangle(n, cap=cap),
-                   k_of_n=lambda n: 3, check="triangle-closed"),
-    "p4n-beta": Formula(lambda n, _, cap: prob_all_quadrilateral_beta(n, cap=cap),
+    "theorem1": Formula(lambda n, k: prob_all_kgon(k, n), arg="k"),
+    "pnn": Formula(lambda n, _: prob_all_ngon(n), k_of_n=lambda n: n, check="ngon-closed"),
+    "p3n": Formula(lambda n, _: prob_all_triangle(n), k_of_n=lambda n: 3, check="triangle-closed"),
+    "p4n-beta": Formula(lambda n, _: prob_all_quadrilateral_beta(n),
                         k_of_n=lambda n: 4, check="quadrilateral-beta"),
-    "p5n-beta": Formula(lambda n, _, cap: prob_all_pentagon_beta(n, cap=cap),
+    "p5n-beta": Formula(lambda n, _: prob_all_pentagon_beta(n),
                         k_of_n=lambda n: 5, check="pentagon-beta"),
-    "whitworth": Formula(lambda n, x, cap: whitworth_survivor(n, x, cap=cap), arg="x"),
-    "exists-triangle": Formula(lambda n, _, cap: prob_exists_triangle(n, cap=cap),
-                               k_of_n=lambda n: 3),
+    "whitworth": Formula(lambda n, x: whitworth_survivor(n, x), arg="x"),
+    "exists-triangle": Formula(lambda n, _: prob_exists_triangle(n), k_of_n=lambda n: 3),
 }

@@ -34,11 +34,9 @@ def pochhammer(x: Rational | int, m: int) -> Rational:
     """Rising factorial x(x+1)...(x+m-1); the empty product (m=0) is 1."""
     if m < 0:
         raise ValueError("pochhammer requires m >= 0")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(m):
-        out *= x + i
-    return out
+    # With x = p/q: prod_i (p + iq) / q^m, one integer product.
+    p, q = Fraction(x).as_integer_ratio()
+    return Fraction(math.prod(range(p, p + m * q, q)), q**m)
 
 
 def falling_product(n: int, m: int) -> int:

@@ -154,17 +154,21 @@ def _exact_entry(
     return _entry(check_id, expected, actual, residual, 0.0, seconds, passed=equal)
 
 
+# The largest --n-max: the exact suite took 0.91 s at 200 and grows about as
+# n_max^2.5.
+N_MAX_LIMIT = 200
+
+
 def check_exact_args(n_max: int) -> None:
     """Reject arguments of the exact suite before any suite runs.
 
-    n_max above exact.DEFAULT_N_CAP raises CapExceededError: the closed forms
-    run at their default cap, which bounds the suite's time.
+    n_max above N_MAX_LIMIT raises CapExceededError, which bounds the suite's time.
     """
     if n_max < 5:
         raise ValueError("n_max must be >= 5")
-    if n_max > exact.DEFAULT_N_CAP:
+    if n_max > N_MAX_LIMIT:
         raise exact.CapExceededError(
-            f"n_max={n_max} exceeds the exact-arithmetic cap {exact.DEFAULT_N_CAP}")
+            f"n_max={n_max} exceeds the limit N_MAX_LIMIT = {N_MAX_LIMIT}")
 
 
 def run_exact_crosschecks(n_max: int) -> VerificationReport:
@@ -191,7 +195,7 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
             t0 = time.perf_counter()
             report.add(_exact_entry(
                 f"exact/{formula.check}/n={n:02d}",
-                formula.evaluate(n, None, exact.DEFAULT_N_CAP),
+                formula.evaluate(n, None),
                 exact.prob_all_kgon(formula.k_of_n(n), n),
                 time.perf_counter() - t0,
             ))

@@ -226,26 +226,48 @@ def test_every_registry_formula_runs_and_is_cross_checked(capsys):
 
 
 def test_exact_cap_exit_code(capsys):
-    code, _, err = run(capsys, "exact", "--formula", "pnn", "--n", "500")
-    assert code == EXIT_CAP and "cap" in err
-    code, _, _ = run(capsys, "exact", "--formula", "pnn", "--n", "500", "--cap", "500")
-    assert code == EXIT_OK
+    """exact.MAX_CAP is the one bound on n, and --cap is gone (exit 2)."""
+    code, _, err = run(capsys, "exact", "--formula", "pnn", "--n", str(exact.MAX_CAP + 1))
+    assert code == EXIT_CAP and f"exceeds the limit MAX_CAP = {exact.MAX_CAP}" in err
+    assert run(capsys, "exact", "--formula", "pnn", "--n", str(exact.MAX_CAP))[0] == EXIT_OK
+    code, out, _ = run(capsys, "exact", "--formula", "theorem1", "--k", "4", "--n", "300")
+    assert code == EXIT_OK and records_of(out)[0]["n"] == 300
+    code, out, err = run(capsys, "exact", "--formula", "pnn", "--n", "500", "--cap", "500")
+    assert code == EXIT_USAGE and out == "" and "--cap" in err
+    assert run(capsys, "table", "--k", "3", "--n", "5", "--cap", "500")[0] == EXIT_USAGE
 
 
 @pytest.mark.parametrize("argv", [
-    ("exact", "--formula", "pnn", "--n", "3000000000", "--cap", "10000000000"),
-    ("exact", "--formula", "theorem1", "--k", "3", "--n", "20000", "--cap", "1000000"),
-    ("table", "--k", "10:12", "--n", "3:5", "--cap", "100000"),
+    ("exact", "--formula", "pnn", "--n", "3000000000"),
+    ("exact", "--formula", "theorem1", "--k", "3", "--n", "20000"),
+    ("table", "--k", "3", "--n", f"{exact.MAX_CAP + 1}"),
 ])
 def test_cap_above_max_cap_exits_at_once(argv):
-    """A --cap above exact.MAX_CAP exits 3 before any arithmetic, even for a
-    table with no cells.  With no ceiling on the cap, the exact commands ran
-    for more than 10 s."""
+    """An n above exact.MAX_CAP exits 3 before any arithmetic, in a table
+    before its first cell.  With no ceiling on n, the exact commands ran for
+    more than 10 s."""
     t0 = time.perf_counter()
     proc = run_subprocess(*argv)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
     assert f"exceeds the limit MAX_CAP = {exact.MAX_CAP}" in proc.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("table", "--k", "3:200", "--n", "3:200"), "TABLE_WORK_BUDGET"),
+    (("exact", "--formula", "whitworth", "--n", "800",
+      "--x", f"{10**1000 // 3 + 1}/{10**1000 + 1}"), "WHITWORTH_WORK_BUDGET"),
+])
+def test_work_above_its_bound_exits_at_once(argv, bound):
+    """A table or a Whitworth sum whose work exceeds its bound exits 3 before
+    the first cell or power.  Unbounded, the full k <= n <= 200 table took
+    38 s and this Whitworth sum 13 s."""
+    t0 = time.perf_counter()
+    proc = run_subprocess(*argv)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == EXIT_CAP and proc.stdout == ""
+    assert f"exceeds the work bound {bound} = " in proc.stderr
     assert elapsed < 1.0
 
 
@@ -270,7 +292,7 @@ def test_exact_value_too_long_to_print_is_a_cap_exit():
     naming that limit, not 2 with Python's own ValueError.  The denominator
     here is 1000001^799, about 4800 digits."""
     proc = run_subprocess("exact", "--formula", "whitworth", "--n", "800",
-                          "--x", "333334/1000001", "--cap", "800", PYTHONINTMAXSTRDIGITS="4300")
+                          "--x", "333334/1000001", PYTHONINTMAXSTRDIGITS="4300")
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
     assert "more than 4300 decimal digits, the printable limit" in proc.stderr
 
@@ -564,6 +586,21 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_python_quickstart_runs():
+    """README's python block runs, and each value an inline `# ... Fraction(a, b)`
+    comment states is the value of that line's expression."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    stated = [(code, value) for code, value in
+              re.findall(r"^(\S[^#\n]*?)\s*#[^\n]*?(Fraction\(-?\d+, \d+\))",
+                         block, flags=re.MULTILINE)]
+    assert len(stated) >= 5
+    for code, value in stated:
+        assert eval(code, namespace) == eval(value, namespace), code
 
 
 def test_unknown_command_and_help(capsys):

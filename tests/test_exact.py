@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from bstick import exact
 from bstick.exact import (
-    DEFAULT_N_CAP,
     FORMULAS,
     MAX_CAP,
+    WHITWORTH_WORK_BUDGET,
     CapExceededError,
     ProblemSpec,
     alternating_factorial_identity,
@@ -204,14 +204,15 @@ def test_alternating_factorial_identity_holds():
 
 
 def test_cap_enforcement():
-    with pytest.raises(CapExceededError):
-        prob_all_kgon(3, DEFAULT_N_CAP + 1)
-    with pytest.raises(CapExceededError):
-        prob_all_ngon(DEFAULT_N_CAP + 1)
-    with pytest.raises(CapExceededError):
-        whitworth_survivor(DEFAULT_N_CAP + 1, F(1, 2))
-    # an explicit larger cap lifts the guard
-    assert prob_all_ngon(DEFAULT_N_CAP + 1, cap=DEFAULT_N_CAP + 1) < 1
+    """MAX_CAP is the one bound on n, and no closed form takes a cap."""
+    assert prob_all_ngon(MAX_CAP) < 1
+    with pytest.raises(CapExceededError, match=f"exceeds the limit MAX_CAP = {MAX_CAP}"):
+        prob_all_ngon(MAX_CAP + 1)
+    positional = {prob_all_kgon: (3, 5), whitworth_survivor: (5, F(1, 3))}
+    for fn in (prob_all_kgon, prob_all_ngon, prob_all_triangle, prob_all_quadrilateral_beta,
+               prob_all_pentagon_beta, whitworth_survivor, prob_exists_triangle):
+        with pytest.raises(TypeError):
+            fn(*positional.get(fn, (5,)), cap=MAX_CAP)
 
 
 def test_cap_above_max_cap_is_refused_before_any_arithmetic(monkeypatch):
@@ -223,8 +224,22 @@ def test_cap_above_max_cap_is_refused_before_any_arithmetic(monkeypatch):
     args = {"k": 5, "x": F(1, 3), None: None}
     for formula in FORMULAS.values():
         with pytest.raises(CapExceededError, match=f"exceeds the limit MAX_CAP = {MAX_CAP}"):
-            formula.evaluate(9, args[formula.arg], MAX_CAP + 1)
-    with pytest.raises(CapExceededError, match=f"up to MAX_CAP = {MAX_CAP}"):
-        prob_all_ngon(MAX_CAP + 1, cap=MAX_CAP)
+            formula.evaluate(MAX_CAP + 1, args[formula.arg])
+
+
+def test_whitworth_work_is_bounded_before_the_first_power(monkeypatch):
+    """The sum's work, terms * ((n - 1) * bits of x's denominator)^2, is held
+    to WHITWORTH_WORK_BUDGET before any term is built."""
+    def no_arithmetic(*args):
+        raise AssertionError("a term was built past the work check")
+
+    b = 10**1000 + 1
+    x = F(b // 3 + 1, b)  # two terms: 2x < 1 < 3x
+    monkeypatch.setattr(exact, "binomial", no_arithmetic)
+    for n in (MAX_CAP, 200):
+        with pytest.raises(CapExceededError,
+                           match=f"exceeds the work bound WHITWORTH_WORK_BUDGET = "
+                                 f"{WHITWORTH_WORK_BUDGET}"):
+            whitworth_survivor(n, x)
     monkeypatch.undo()
-    assert prob_all_ngon(MAX_CAP, cap=MAX_CAP) < 1
+    assert 0 < whitworth_survivor(MAX_CAP, F(1, 799)) < 1  # 798 terms, inside the budget

@@ -40,6 +40,22 @@ def test_pochhammer_values():
         pochhammer(2, -1)
 
 
+def pochhammer_reference(x, m):
+    """The rising factorial as a loop of Fraction products."""
+    out = Fraction(1)
+    for i in range(m):
+        out *= Fraction(x) + i
+    return out
+
+
+def test_pochhammer_equals_the_fraction_loop():
+    xs = (0, 1, -3, Fraction(3, 2), Fraction(-7, 3), Fraction(1, 1000),
+          Fraction(-22, 7), Fraction(355, 113))
+    for x in xs:
+        for m in range(41):
+            assert pochhammer(x, m) == pochhammer_reference(x, m), (x, m)
+
+
 @given(
     st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=50),
     st.integers(min_value=0, max_value=30),
