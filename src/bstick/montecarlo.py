@@ -8,17 +8,20 @@ function of (seed, chunk index, offset within chunk) and (seed, trials, n,
 event, model) fix an estimate bitwise however run_in_order spreads chunks.
 
 Within a chunk, trials are drawn and tested in consecutive sub-blocks of about
-BLOCK_VALUES spacing values, which bounds a chunk's memory (n is capped at
-MAX_N so that one trial fits in a sub-block).  The sub-blocks consume the
-chunk's draws in order, and the samplers and predicates work one column (one
-spacing index of every trial) at a time with the same arithmetic as the
-row-major form, so neither the sub-blocks nor the column layout change any
-spacing, indicator or success count.  Up to sticks.NETWORK_MAX_N values per
-trial a sub-block is sampled into an F-ordered (trials, n) array, so its
-columns stay contiguous from the sampler to the indicator; wider sub-blocks
-stay C-ordered.  Each thread writes its sub-blocks into the same scratch
-arrays (sticks.scratch_array) from block to block and from one estimate to
-the next, so a run does not keep faulting in fresh pages.
+BLOCK_VALUES spacing values (at least one trial), which bounds a chunk's
+memory (n is capped at MAX_N, so a sub-block holds at most MAX_N values).  The
+sub-blocks consume the chunk's draws in order, and the samplers and predicates
+work one column (one spacing index of every trial) at a time with the same
+arithmetic as the row-major form, so neither the sub-blocks nor the column
+layout change any spacing, indicator or success count.  Up to
+sticks.NETWORK_MAX_N values per trial a sub-block is sampled into an F-ordered
+(trials, n) array, so its columns stay contiguous from the sampler to the
+indicator; wider sub-blocks stay C-ordered.  Each thread writes its sub-blocks
+into the same scratch arrays (sticks.scratch_array) from block to block and
+from one estimate to the next, so a run does not keep faulting in fresh pages.
+The uniform sampler draws into the sub-block's own spacings array, so a thread
+keeps about four block-sized arrays: spacings, the sorted columns, and the
+running sums and window sums of 'exists'.
 """
 
 from __future__ import annotations
@@ -70,18 +73,22 @@ CHUNK_SIZE = 1 << 16
 
 # Guard on trials * n, the total spacing values a run would draw and test.
 # Memory is bounded separately: a chunk is worked in sub-blocks of about
-# BLOCK_VALUES spacing values (1 MiB of float64).
+# BLOCK_VALUES spacing values (512 KiB of float64).
 DEFAULT_TRIAL_BUDGET = 10**9
 
 # Spacing values per sub-block.  On a 2 vCPU Xeon (2 MiB L2 per core), two
 # sweeps at n = 5, 6, 8 and 20 found blocks of 2^15-2^17 values within 20% of
-# each other with no consistent winner, and 2^18 1.2-2x slower.
-BLOCK_VALUES = 1 << 17
+# each other at 1 worker, and 2^18 1.2-2x slower.  At 2 workers 2^15 was
+# 20-30% slower on verify --suite all (per-sub-block Python work holds the
+# GIL), while 2^16 tied 2^17 at 1 and at 2 workers and halves each thread's
+# scratch arrays: 2.3 MiB over the verify grid, against 5.6 MiB at 2^17.
+BLOCK_VALUES = 1 << 16
 
-# Largest n an estimate accepts: one trial's spacings must fit in a sub-block,
-# or a sub-block's arrays would grow with n (n * 8 bytes each).  Larger n is a
-# usage error (ValueError, CLI exit code 2), raised before anything is drawn.
-MAX_N = BLOCK_VALUES
+# Largest n an estimate accepts, kept apart from BLOCK_VALUES.  A sub-block
+# holds at most max(BLOCK_VALUES, n) values (at least one trial), so this
+# bounds a sub-block's arrays at 1 MiB each.  Larger n is a usage error
+# (ValueError, CLI exit code 2), raised before anything is drawn.
+MAX_N = 1 << 17
 
 # Most threads a run_in_order call starts; more is a usage error (check_workers).
 MAX_WORKERS = 64

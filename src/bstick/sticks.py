@@ -166,6 +166,10 @@ def sample_spacings_batch(
     ``out``, a C- or F-contiguous float64 (count, n) array, receives the
     result instead of a new array.  F order keeps every column contiguous, so
     the samplers and the predicates work on contiguous columns throughout.
+    Its prior contents are never read.  The uniform sampler draws its
+    (count, n - 1) breaks into the first count * (n - 1) values of out's
+    memory, so it needs no separate draws buffer; the exponential sampler
+    draws into the thread's "columns" scratch array.
     """
     if n < 1:
         raise ValueError("sample_spacings requires n >= 1")
@@ -183,11 +187,16 @@ def sample_spacings_batch(
         # z = log1p(-u) is -y exactly, and its column sum is exactly minus the
         # sum of y: negation is exact and round-to-nearest is symmetric.  So
         # z / sum(z) has the bits of y / sum(y) with one pass less.
-        np.negative(rng.random(out=scratch_array("draws", (count, n))).T, out=cols)
+        np.negative(rng.random(out=scratch_array("columns", (count, n))).T, out=cols)
         np.log1p(cols, out=cols)
         np.divide(cols, _row_sums(cols), out=cols)
         return out
-    breaks = _sorted_columns(rng.random(out=scratch_array("draws", (count, n - 1))))
+    # The breaks are drawn row-major into the front of out's own memory;
+    # sorting copies them into "columns" or "sorted" before any spacing is
+    # written.
+    memory = (out if out.flags.c_contiguous else out.T).reshape(-1)
+    draws = memory[: count * (n - 1)].reshape(count, n - 1)
+    breaks = _sorted_columns(rng.random(out=draws))
     if n == 1:
         cols[0] = 1.0
     else:
@@ -255,13 +264,15 @@ def scratch_array(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.nda
 
     A Monte Carlo estimate works through many sub-blocks of one shape.  Fresh
     arrays of that size go back to the kernel when freed and are faulted in
-    again for the next block: on a 2 vCPU Xeon VM that was 66 000 page faults
-    and a fifth of the time of one ``verify --suite all`` run, and the cost
-    rose and fell with the host's load.  Reused memory stays mapped.  The
-    array stays valid until the same thread asks for the same name again, so
-    callers use one name per array that is alive at a time.  Every caller
-    writes an array before reading it, so what a buffer held before is never
-    seen.  Arrays of more than SCRATCH_MAX_VALUES elements are not kept.
+    again for the next block: on a 2 vCPU Xeon VM, with 2^17-value
+    sub-blocks, that was 66 000 page faults and a fifth of the time of one
+    ``verify --suite all`` run, and the cost rose and fell with the host's
+    load.  Reused memory stays mapped.  With 2^16-value sub-blocks a thread's
+    arrays over that run's Monte Carlo grid total 2.3 MiB.  The array stays
+    valid until the same thread asks for the same name again, so callers use
+    one name per array that is alive at a time.  Every caller writes an array
+    before reading it, so what a buffer held before is never seen.  Arrays of
+    more than SCRATCH_MAX_VALUES elements are not kept.
     """
     dtype = np.dtype(dtype)
     size = prod(shape)

@@ -12,7 +12,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bstick import montecarlo
+from bstick import montecarlo, sticks
 from bstick.cli import main
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
@@ -29,7 +29,7 @@ from bstick.montecarlo import (
     wilson_interval,
 )
 from bstick.sticks import EventSpec, SamplerModel, _subset_check_batch, sample_spacings_batch
-from bstick.verify import sampler_equivalence_test
+from bstick.verify import run_mc_crosschecks, sampler_equivalence_test
 
 
 def _config(**kw):
@@ -244,6 +244,24 @@ def test_n_above_max_n_is_rejected_before_allocating():
         tracemalloc.stop()
     assert code == 2
     assert peak < BLOCK_VALUES
+
+
+def test_n_at_max_n_is_estimated_one_trial_per_sub_block(monkeypatch):
+    """MAX_N is above BLOCK_VALUES, so at n = MAX_N a sub-block is a single
+    trial: two trials are sampled in two sub-blocks of one row each."""
+    assert MAX_N == 2**17 > BLOCK_VALUES
+    counts = []
+
+    def sample(n, model, rng, count, out=None):
+        counts.append(count)
+        return sample_spacings_batch(n, model, rng, count, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_spacings_batch", sample)
+    for trials in (1, 2):
+        res = estimate(SimulationConfig(n=MAX_N, event=EventSpec.exists_k(3),
+                                        model=SamplerModel.UNIFORM_BREAKS, trials=trials, seed=3))
+        assert res.successes == trials  # some 3 of 2^17 pieces form a triangle
+    assert counts == [1, 1, 1]
 
 
 @pytest.mark.parametrize("model", list(SamplerModel))
@@ -479,4 +497,24 @@ def test_repeat_estimate_reuses_block_memory(n, model, event):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= BLOCK_VALUES * 8 // 4
+    # Half of one block array.  Above NETWORK_MAX_N the sampler and _row_sums
+    # run ufuncs over strided 2-d views, and numpy's iterator buffers for them
+    # take up to about 200 KiB per call whatever the block size.
+    assert peak <= 256 * 1024
+
+
+def test_thread_workspace_over_the_verify_grid_is_bounded():
+    """A thread's scratch arrays over verify's mc grid at its default trials
+    (full 2^16-trial chunks) stay within 2.5 MiB: sub-blocks of BLOCK_VALUES
+    values and the uniform draws written into the spacings array itself."""
+    sizes = []
+
+    def run():
+        run_mc_crosschecks(100_000, 11, workers=1)
+        sizes.append(sum(buf.nbytes for buf in sticks._scratch_local.buffers.values()))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert 0 < sizes[0] <= 2.5 * 2**20

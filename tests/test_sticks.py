@@ -563,6 +563,20 @@ def test_f_ordered_out_matches_c_ordered_out_bitwise(seed, n, count, model):
     assert _same_bits(f_out, expected)
 
 
+@pytest.mark.parametrize("model", list(SamplerModel))
+@pytest.mark.parametrize("n", [2, NETWORK_MAX_N + 1, 24])
+def test_sampler_never_reads_what_out_held(n, model):
+    """The uniform sampler draws its breaks into out's own memory, and on
+    both sides of NETWORK_MAX_N neither sampler reads what out held: a
+    NaN-filled out in C or F order gets the reference values bit for bit."""
+    count = 300
+    expected = _ref_spacings(n, model, _philox(n, 4), count)
+    for out in (np.full((count, n), np.nan), np.full((n, count), np.nan).T):
+        got = sample_spacings_batch(n, model, _philox(n, 4), count, out=out)
+        assert got is out
+        assert _same_bits(out, expected)
+
+
 @pytest.mark.parametrize("n", [*range(1, NETWORK_MAX_N + 1), NETWORK_MAX_N + 1, 24])
 def test_event_indicator_is_layout_independent(n):
     rows = _random_spacings(np.random.default_rng(n), n, 500)
