@@ -19,9 +19,11 @@ sticks.NETWORK_MAX_N values per trial a sub-block is sampled into an F-ordered
 indicator; wider sub-blocks stay C-ordered.  Each thread writes its sub-blocks
 into the same scratch arrays (sticks.scratch_array) from block to block and
 from one estimate to the next, so a run does not keep faulting in fresh pages.
-The uniform sampler draws into the sub-block's own spacings array, so a thread
-keeps about four block-sized arrays: spacings, the sorted columns, and the
-running sums and window sums of 'exists'.
+The uniform sampler draws into the sub-block's own spacings array, row sums
+and column maxima go into rows the work already holds, and 'exists' keeps
+its running sums in a ring of k rows, so a thread keeps about two
+block-sized arrays, the spacings and the sorted columns, and the k rows of
+the ring.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ DEFAULT_TRIAL_BUDGET = 10**9
 # sweeps at n = 5, 6, 8 and 20 found blocks of 2^15-2^17 values within 20% of
 # each other at 1 worker, and 2^18 1.2-2x slower.  At 2 workers 2^15 was
 # 20-30% slower on verify --suite all (per-sub-block Python work holds the
-# GIL), while 2^16 tied 2^17 at 1 and at 2 workers and halves each thread's
-# scratch arrays: 2.3 MiB over the verify grid, against 5.6 MiB at 2^17.
+# GIL), while 2^16 tied 2^17 at 1 and at 2 workers and halved each thread's
+# scratch arrays over the verify grid (5.6 to 2.3 MiB at the time).
 BLOCK_VALUES = 1 << 16
 
 # Largest n an estimate accepts, kept apart from BLOCK_VALUES.  A sub-block
@@ -121,30 +123,38 @@ def check_budget(trials: int, n: int, budget: int) -> None:
     """Reject trials * n above budget (BudgetExceededError)."""
     if trials * n > budget:
         raise BudgetExceededError(
-            f"trials*n = {trials * n} at n = {n} exceeds budget {budget}")
+            f"trials*n = {trials} * {n} = {trials * n} exceeds budget {budget}")
 
 
 def run_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
     """Yield fn(item) for each item, in the order of items.
 
-    Inline at one worker; else on one pool of min(workers, len(items)) threads
-    holding IN_FLIGHT_PER_WORKER futures per thread.  If a call raises, Ctrl-C
-    interrupts the wait or the caller stops, the queued calls are cancelled
-    and only the running ones finish.
+    The work is shared by threads = min(workers, len(items)) threads, the
+    calling thread among them: it runs items 0, threads, 2 * threads, ...
+    itself when their turn to be yielded comes, and a pool of threads - 1
+    threads runs the rest (no pool at one thread).  Items i .. i +
+    IN_FLIGHT_PER_WORKER * threads - 1 are submitted or due when item i is
+    yielded, so at most IN_FLIGHT_PER_WORKER items per thread are
+    outstanding.  The calling thread keeps its scratch arrays from one call
+    to the next, where a pool's threads are new each time.  If a call
+    raises, Ctrl-C interrupts the caller or the caller stops, the queued
+    calls are cancelled and only the running ones finish.
     """
     threads = min(workers, len(items))
     if threads <= 1:
         yield from map(fn, items)
         return
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = ThreadPoolExecutor(max_workers=threads - 1)
     pending = deque()
+    window = IN_FLIGHT_PER_WORKER * threads
+    ahead = 0  # items before this one are submitted or the caller's
     try:
-        for item in items:
-            if len(pending) == IN_FLIGHT_PER_WORKER * threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
+        for i, item in enumerate(items):
+            while ahead < min(i + window, len(items)):
+                if ahead % threads:
+                    pending.append(pool.submit(fn, items[ahead]))
+                ahead += 1
+            yield fn(item) if i % threads == 0 else pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -187,9 +187,11 @@ def sample_spacings_batch(
         # z = log1p(-u) is -y exactly, and its column sum is exactly minus the
         # sum of y: negation is exact and round-to-nearest is symmetric.  So
         # z / sum(z) has the bits of y / sum(y) with one pass less.
-        np.negative(rng.random(out=scratch_array("columns", (count, n))).T, out=cols)
+        # The draws are dead once negated, so their memory takes the row sums.
+        draws = rng.random(out=scratch_array("columns", (count, n)))
+        np.negative(draws.T, out=cols)
         np.log1p(cols, out=cols)
-        np.divide(cols, _row_sums(cols), out=cols)
+        np.divide(cols, _row_sums(cols, out=draws.reshape(-1)[:count]), out=cols)
         return out
     # The breaks are drawn row-major into the front of out's own memory;
     # sorting copies them into "columns" or "sorted" before any spacing is
@@ -268,7 +270,7 @@ def scratch_array(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.nda
     sub-blocks, that was 66 000 page faults and a fifth of the time of one
     ``verify --suite all`` run, and the cost rose and fell with the host's
     load.  Reused memory stays mapped.  With 2^16-value sub-blocks a thread's
-    arrays over that run's Monte Carlo grid total 2.3 MiB.  The array stays
+    arrays over that run's Monte Carlo grid total 1.6 MiB.  The array stays
     valid until the same thread asks for the same name again, so callers use
     one name per array that is alive at a time.  Every caller writes an array
     before reading it, so what a buffer held before is never seen.  Arrays of
@@ -406,7 +408,7 @@ def _sorted_columns(rows: np.ndarray, smallest: int | None = None) -> np.ndarray
 _PAIRWISE_BLOCK = 128
 
 
-def _row_sums(cols: np.ndarray) -> np.ndarray:
+def _row_sums(cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum an (m, count) array down axis 0, with the bits numpy's row sum
     gives on the row-major (count, m) transpose.
 
@@ -414,13 +416,13 @@ def _row_sums(cols: np.ndarray) -> np.ndarray:
     to 128 terms keeps 8 running partial sums combined as a tree; adding whole
     rows of cols in that order gives the same bits.  Past 128 terms, numpy's
     own row sum is called on a row-major copy, which is cheap because such
-    blocks hold few rows.  Up to 128 terms the result is the thread's "sum"
-    scratch array.
+    blocks hold few rows.  The sums go into ``out``, a (count,) array that
+    overlaps no row of cols, or into a new array.
     """
     m, count = cols.shape
     if m > _PAIRWISE_BLOCK:
-        return np.ascontiguousarray(cols.T).sum(axis=1)
-    total = scratch_array("sum", (count,))
+        return np.ascontiguousarray(cols.T).sum(axis=1, out=out)
+    total = np.empty(count) if out is None else out
     if m < 8:
         np.add(cols[0], 0.0, out=total)
         for term in cols[1:]:
@@ -441,32 +443,50 @@ def _row_sums(cols: np.ndarray) -> np.ndarray:
 
 
 def _polygon_indicator(kind: EventKind, spacings: np.ndarray, k: int) -> np.ndarray:
-    """The all/exists k-gon indicator of each row of a (count, n) spacing array.
+    """The all/exists k-gon indicator of each row of a (count, n) spacing array,
+    as a new bool array.
 
     Works on the sorted columns.  'all' tests the largest spacing against the
     sum of the k-1 smallest, which are all the network pruned to those outputs
-    computes.  'exists' sorts fully and tests every window of k consecutive
-    sorted spacings at once: the top of window j against csum[j+k-1] - csum[j],
-    where csum[i] is the running sum of the i smallest.
+    computes; up to NETWORK_MAX_N values the sum goes into the spare last row
+    of the "columns" work array.  'exists' sorts fully and tests each window
+    of k consecutive sorted spacings: the top of window j, srt[j+k-1], against
+    csum[j+k-1] - csum[j], where csum[i] is the running sum of the i smallest.
+    Up to NETWORK_MAX_N values the running sums live in a ring of k rows,
+    csum[i] in row i % k: window j writes its sum into csum[j]'s row, tests
+    it, and then writes csum[j+k] there.  Wider rows take one cumsum and test
+    every window at once.
     """
+    count, n = spacings.shape
     if kind is EventKind.ALL_K_SUBSETS:
         srt = _sorted_columns(spacings, k - 1)
-        return srt[-1] <= _row_sums(srt[: k - 1])
+        spare = scratch_array("columns", (n + 1, count))[n] if n <= NETWORK_MAX_N else None
+        return srt[-1] <= _row_sums(srt[: k - 1], out=spare)
     srt = _sorted_columns(spacings)
-    n, count = srt.shape
-    csum = scratch_array("csum", (n + 1, count))
-    csum[0] = 0.0
-    if n <= NETWORK_MAX_N:
-        # Contiguous columns: one add per column beats numpy's cumsum down
-        # axis 0, which makes one short call per trial.
-        for i, col in enumerate(srt):
-            np.add(csum[i], col, out=csum[i + 1])
-    else:
-        np.cumsum(srt, axis=0, out=csum[1:])
     windows = n - k + 1
-    rest = np.subtract(csum[k - 1 : n], csum[:windows], out=scratch_array("rest", (windows, count)))
-    fits = np.less_equal(srt[k - 1 :], rest, out=scratch_array("fits", (windows, count), bool))
-    return fits.any(axis=0)
+    if n > NETWORK_MAX_N:
+        csum = scratch_array("csum", (n + 1, count))
+        csum[0] = 0.0
+        np.cumsum(srt, axis=0, out=csum[1:])
+        rest = np.subtract(csum[k - 1 : n], csum[:windows],
+                           out=scratch_array("rest", (windows, count)))
+        fits = np.less_equal(srt[k - 1 :], rest, out=scratch_array("fits", (windows, count), bool))
+        return fits.any(axis=0)
+    # Contiguous columns: one add per column beats numpy's cumsum down axis
+    # 0, which makes one short call per trial.
+    ring = scratch_array("csum", (k, count))
+    ring[0] = 0.0
+    for i in range(k - 1):
+        np.add(ring[i], srt[i], out=ring[i + 1])
+    fits = np.zeros(count, bool)
+    window_fits = scratch_array("fits", (count,), bool)
+    for j in range(windows):
+        low, top = ring[j % k], ring[(j + k - 1) % k]
+        np.subtract(top, low, out=low)
+        fits |= np.less_equal(srt[j + k - 1], low, out=window_fits)
+        if j + 1 < windows:
+            np.add(top, srt[j + k - 1], out=low)
+    return fits
 
 
 def _subset_check_batch(spacings: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -494,10 +514,11 @@ def event_indicator_batch(event: EventSpec, spacings: np.ndarray) -> np.ndarray:
     if event.kind is EventKind.MAX_SPACING:
         if n > NETWORK_MAX_N:
             return spacings.max(axis=1) > float(event.x)
+        work = scratch_array("columns", (n + 1, count))
         cols = spacings.T
         if not cols.flags.c_contiguous:
-            cols = scratch_array("columns", (n, count))
+            cols = work[:n]
             np.copyto(cols, spacings.T)
-        return cols.max(axis=0, out=scratch_array("sum", (count,))) > float(event.x)
+        return cols.max(axis=0, out=work[n]) > float(event.x)
     event.validate_for(n)
     return _polygon_indicator(event.kind, spacings, event.k)

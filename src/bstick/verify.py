@@ -20,7 +20,7 @@ Four suites (SUITES, in the order "all" runs them):
 Each suite returns a VerificationReport of VerificationEntry records, all
 built by _entry.  run_all is the one dispatcher: it checks the arguments of
 every selected suite (check_exact_args, check_mc_args, the latter including
-the trial budget at the grid's largest n) before any suite runs, and records
+the trial budget over the whole mc grid) before any suite runs, and records
 each suite's totals (SuiteTotal).  The runtime needs numpy and the standard
 library only.
 """
@@ -405,16 +405,17 @@ def _exact_probability(n: int, event: EventSpec) -> Fraction:
 def check_mc_args(trials: int, seed: int, workers: int) -> None:
     """Reject arguments of the mc suite before any suite runs.
 
-    trials * n above DEFAULT_TRIAL_BUDGET at the grid's largest n raises
-    BudgetExceededError (check_budget), as the first estimate at that n would.
+    The budget covers the whole grid: trials * n summed over its 34 runs,
+    that is trials * 205, above DEFAULT_TRIAL_BUDGET raises
+    BudgetExceededError (check_budget with n = 205).
     """
     if trials < 10**4:
         raise ValueError("trials must be >= 10^4")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     check_workers(workers)
-    max_n = max(*(n for _, n, _ in _MC_AGAINST_EXACT), *(n for n, _ in _MC_EQUIVALENCES))
-    check_budget(trials, max_n, DEFAULT_TRIAL_BUDGET)
+    grid_n = sum(n for _, n, _ in _MC_AGAINST_EXACT) + 2 * sum(n for n, _ in _MC_EQUIVALENCES)
+    check_budget(trials, grid_n, DEFAULT_TRIAL_BUDGET)
 
 
 def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> VerificationReport:

@@ -538,7 +538,7 @@ def test_verify_mc_suite_small(capsys):
                                  (["--seed", "-1"], EXIT_USAGE),
                                  (["--n-max", "201"], EXIT_CAP),
                                  (["--n-max", "4"], EXIT_USAGE),
-                                 (["--trials", "125000001"], EXIT_BUDGET)])
+                                 (["--trials", "4878049"], EXIT_BUDGET)])
 def test_verify_rejects_bad_mc_arguments_before_any_suite(capsys, monkeypatch, bad):
     argv, expected_code = bad
     called = []

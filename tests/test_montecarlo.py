@@ -136,8 +136,9 @@ def test_worker_count_does_not_change_the_result():
 
 
 class FakeExecutor:
-    """Stands in for ThreadPoolExecutor: runs each task inline and records
-    the workers asked for, the tasks submitted and the most futures alive at
+    """Stands in for ThreadPoolExecutor: runs each task at once on a
+    short-lived thread of its own, one task at a time, and records the
+    workers asked for, the tasks submitted and the most futures alive at
     once."""
 
     instances = []
@@ -155,27 +156,53 @@ class FakeExecutor:
     def submit(self, fn, *args):
         self.submitted += 1
         future = Future()
-        future.set_result(fn(*args))
+
+        def run():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
         self._alive.add(future)
         self.most_alive = max(self.most_alive, len(self._alive))
         return future
 
 
-@pytest.mark.parametrize("workers, chunks", [(2, 7), (5, 3), (MAX_WORKERS, 1000)])
+@pytest.mark.parametrize("workers, chunks", [(1, 7), (4, 1), (2, 7), (5, 3), (MAX_WORKERS, 1000)])
 def test_chunk_futures_are_bounded_per_worker(monkeypatch, workers, chunks):
-    """One pool of at most one thread per chunk, and one task per chunk; at
-    one trial per chunk the futures alive at once stay within
-    IN_FLIGHT_PER_WORKER per thread however many chunks there are.  The
-    counts equal the serial run.  No real thread is started."""
+    """With threads = min(workers, chunks), the calling thread runs chunks 0,
+    threads, 2 * threads, ... and one pool of threads - 1 threads (none at
+    one thread) takes one task for each other chunk.  At one trial per chunk
+    the pool's futures alive at once stay within IN_FLIGHT_PER_WORKER per
+    pool thread however many chunks there are.  The counts equal the serial
+    run."""
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1)
     cfg = _config(n=5, event=EventSpec.exists_k(3), trials=chunks, seed=3)
     expected = estimate(cfg).successes
+    ran_on = {}
+    real_chunk = montecarlo._chunk_successes
+
+    def chunk(config, chunk_index):
+        ran_on[chunk_index] = threading.get_ident()
+        return real_chunk(config, chunk_index)
+
     FakeExecutor.instances.clear()
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(montecarlo, "_chunk_successes", chunk)
     assert estimate(cfg, workers=workers).successes == expected
+    threads = min(workers, chunks)
+    caller_share = list(range(0, chunks, threads))
+    assert sorted(ran_on) == list(range(chunks))
+    assert [c for c in sorted(ran_on) if ran_on[c] == threading.get_ident()] == caller_share
+    if threads == 1:
+        assert FakeExecutor.instances == []
+        return
     (pool,) = FakeExecutor.instances
-    assert pool.max_workers == min(workers, chunks)
-    assert pool.submitted == chunks
+    assert pool.max_workers == threads - 1
+    assert pool.submitted == chunks - len(caller_share)
     assert pool.most_alive <= IN_FLIGHT_PER_WORKER * pool.max_workers
 
 
@@ -505,8 +532,10 @@ def test_repeat_estimate_reuses_block_memory(n, model, event):
 
 def test_thread_workspace_over_the_verify_grid_is_bounded():
     """A thread's scratch arrays over verify's mc grid at its default trials
-    (full 2^16-trial chunks) stay within 2.5 MiB: sub-blocks of BLOCK_VALUES
-    values and the uniform draws written into the spacings array itself."""
+    (full 2^16-trial chunks) stay within 1.6 MiB: sub-blocks of BLOCK_VALUES
+    values, the uniform draws written into the spacings array itself, the
+    running sums of 'exists' in a ring of k rows, and no separate array for
+    row sums or column maxima."""
     sizes = []
 
     def run():
@@ -517,4 +546,4 @@ def test_thread_workspace_over_the_verify_grid_is_bounded():
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert 0 < sizes[0] <= 2.5 * 2**20
+    assert 0 < sizes[0] <= 1.6 * 2**20

@@ -274,6 +274,39 @@ def test_subset_check_batch_equals_the_loop():
     assert all_ok[0] and any_ok[0]
 
 
+def _exists_windows_reference(rows, k):
+    """Reference for the ring of running sums in 'exists': the n + 1 running
+    sums of the sorted columns, every window's sum and every window's test,
+    each held in an array at once."""
+    srt = np.sort(rows, axis=1).T
+    n, count = srt.shape
+    csum = np.empty((n + 1, count))
+    csum[0] = 0.0
+    for i, col in enumerate(srt):
+        np.add(csum[i], col, out=csum[i + 1])
+    windows = n - k + 1
+    rest = np.subtract(csum[k - 1 : n], csum[:windows])
+    fits = np.less_equal(srt[k - 1 :], rest)
+    return fits.any(axis=0)
+
+
+def test_exists_ring_equals_the_window_arrays():
+    """For every 3 <= k <= n <= NETWORK_MAX_N, on random, tied and boundary
+    rows in C and F order, 'exists' equals the reference; two calls in a row
+    return arrays that share no memory."""
+    rng = np.random.default_rng(47)
+    for n in range(3, NETWORK_MAX_N + 1):
+        rows = np.vstack([_random_spacings(rng, n, 200), _boundary_rows(n)])
+        for k in range(3, n + 1):
+            expected = _exists_windows_reference(rows, k)
+            for layout in (rows, np.asfortranarray(rows)):
+                first = event_indicator_batch(EventSpec.exists_k(k), layout)
+                second = event_indicator_batch(EventSpec.exists_k(k), layout)
+                np.testing.assert_array_equal(first, expected)
+                np.testing.assert_array_equal(second, expected)
+                assert not np.shares_memory(first, second)
+
+
 def test_fast_predicates_match_oracle():
     """The reduced inequalities agree with brute-force enumeration everywhere."""
     rng = np.random.default_rng(91)

@@ -170,11 +170,12 @@ def test_mc_crosschecks_pass_and_are_labeled():
         run_mc_crosschecks(9_999, seed=0)
 
 
-def test_mc_trial_budget_is_checked_at_the_largest_grid_n():
-    # The grid's largest n is 8, and trials * n may reach DEFAULT_TRIAL_BUDGET = 10^9.
-    check_mc_args(125_000_000, seed=0, workers=1)
-    with pytest.raises(BudgetExceededError, match="at n = 8"):
-        check_mc_args(125_000_001, seed=0, workers=1)
+def test_mc_trial_budget_covers_the_whole_grid():
+    # The grid's 34 runs draw 205 spacing values per trial between them, and
+    # trials * 205 may reach DEFAULT_TRIAL_BUDGET = 10^9.
+    check_mc_args(4_878_048, seed=0, workers=1)
+    with pytest.raises(BudgetExceededError, match=r"4878049 \* 205 = 1000000045"):
+        check_mc_args(4_878_049, seed=0, workers=1)
 
 
 def test_mc_crosschecks_deterministic_given_seed():
@@ -184,8 +185,9 @@ def test_mc_crosschecks_deterministic_given_seed():
 
 
 class _InlinePool:
-    """Stands in for ThreadPoolExecutor: runs each task inline and records
-    the workers asked for and the tasks submitted."""
+    """Stands in for ThreadPoolExecutor: runs each task at once on a
+    short-lived thread of its own, one task at a time, and records the
+    workers asked for and the tasks submitted."""
 
     def __init__(self, created, max_workers):
         self.max_workers = max_workers
@@ -198,34 +200,54 @@ class _InlinePool:
     def submit(self, fn, *args):
         self.submitted += 1
         future = Future()
-        future.set_result(fn(*args))
+
+        def run():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
         return future
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8, MAX_WORKERS])
 def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
-    """At w > 1 workers the suite makes one pool of min(w, 34) threads, the
-    one scheduler's, and every estimate runs whole on one of them; at w = 1
-    no pool is made.  Each estimate here spans two chunks, so one started
-    with workers > 1 would make a second pool.  No real thread is started."""
+    """At w > 1 workers the suite's 34 estimates share threads = min(w, 34)
+    threads: the calling thread runs estimates 0, threads, 2 * threads, ...
+    and one pool of threads - 1 threads, the one scheduler's, runs the
+    others.  Each estimate runs whole; at w = 1 no pool is made.  Each
+    estimate here spans two chunks, so one started with workers > 1 would
+    make a second pool.  The report is the one-worker report, in order."""
+    calls = []
+    real_estimate = verify.estimate
+
+    def recording_estimate(config, **kw):
+        calls.append((config, kw, threading.get_ident()))
+        return real_estimate(config, **kw)
+
+    monkeypatch.setattr(verify, "estimate", recording_estimate)
     reference = run_mc_crosschecks(70_000, seed=4)
+    order = [config for config, _, _ in calls]
+    calls.clear()
     pools = []
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
                         lambda max_workers: _InlinePool(pools, max_workers))
-    calls = []
-    real_estimate = verify.estimate
-    monkeypatch.setattr(verify, "estimate",
-                        lambda config, **kw: calls.append(kw) or real_estimate(config, **kw))
     report = run_mc_crosschecks(70_000, seed=4, workers=workers)
-    assert calls == [{"workers": 1}] * 34
+    assert [kw for _, kw, _ in calls] == [{"workers": 1}] * 34
+    ran_on = {config: ident for config, _, ident in calls}
+    threads = min(workers, 34)
+    assert ([i for i, config in enumerate(order) if ran_on[config] == threading.get_ident()]
+            == list(range(0, 34, threads)))
     if workers == 1:
         assert pools == []
     else:
         (pool,) = pools
-        assert (pool.max_workers, pool.submitted) == (min(workers, 34), 34)
+        assert (pool.max_workers, pool.submitted) == (threads - 1, 34 - len(range(0, 34, threads)))
     assert ([(e.check_id, e.actual, e.passed) for e in report]
             == [(e.check_id, e.actual, e.passed) for e in reference])
-
 
 
 class _Interrupt(Exception):
