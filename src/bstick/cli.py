@@ -5,8 +5,10 @@ with a fixed header; diagnostics go to stderr.  Identical invocations with
 identical seeds produce byte-identical output except the timestamp field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 an exact-
-arithmetic bound exceeded or an exact value too long to print, 4 simulation
-budget exceeded, 5 I/O error, 130 interrupted (Ctrl-C).
+arithmetic bound exceeded (refused before the work starts), 4 simulation
+budget exceeded, 5 I/O error, 130 interrupted (Ctrl-C).  The bounds also
+bound every exact value's size, so every value they admit prints in full,
+whatever sys.get_int_max_str_digits().
 """
 
 from __future__ import annotations
@@ -59,11 +61,16 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def fraction_to_decimal(f: Fraction, digits: int = 12) -> str:
-    """Decimal approximation to the given number of significant digits."""
+def fraction_texts(f: Fraction) -> tuple[str, str]:
+    """f as 'num/den' and as a decimal of 12 significant digits.
+
+    The integers are printed through Decimal, which has no digit limit, unlike
+    str(int); each is converted once, the costliest step for a long value.
+    """
+    num, den = Decimal(f.numerator), Decimal(f.denominator)
     with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(f.numerator) / Decimal(f.denominator)).lower()
+        ctx.prec = 12
+        return f"{num}/{den}", str(num / den).lower()
 
 
 def _digit_limit() -> int:
@@ -103,21 +110,6 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_printable(value: Fraction) -> None:
-    """Raise CapExceededError if value_exact would be too long to print.
-
-    Python prints an int of at most sys.get_int_max_str_digits() decimal
-    digits (0: no limit) and raises its own ValueError beyond that.
-    """
-    limit = _digit_limit()
-    largest = max(abs(value.numerator), value.denominator)
-    # Fewer than 3 * limit bits is fewer than limit digits, since 2^3 < 10.
-    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
-        raise CapExceededError(
-            f"the exact value has more than {limit} decimal digits, the printable "
-            f"limit (sys.get_int_max_str_digits()); lower --n")
-
-
 def _default_seed() -> int:
     env = os.environ.get("BSTICK_SEED")
     if env is None:
@@ -144,17 +136,15 @@ def _record(
     seed: int | None = None,
     generator_id: str | None = None,
 ) -> dict[str, Any]:
+    exact_text = None
     if value_exact is not None:
-        _check_printable(value_exact)
-    if value_decimal is None:
-        value_decimal = fraction_to_decimal(value_exact)
+        exact_text, value_decimal = fraction_texts(value_exact)
     return {
         "kind": kind,
         "k": k,
         "n": n,
         "event": event,
-        "value_exact": f"{value_exact.numerator}/{value_exact.denominator}"
-        if value_exact is not None else None,
+        "value_exact": exact_text,
         "value_decimal": value_decimal,
         "ci_low": ci_low,
         "ci_high": ci_high,
@@ -227,8 +217,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 # Theorem 1 at (k, n), m = n - k + 2, costs about m*k*sqrt(m*n) work units, and
 # each cell's record at least TABLE_CELL_WORK more.  On a 2 vCPU Xeon a unit took
-# at most 1.3e-8 s over 378 cells with k <= n <= 800, and no table within
-# TABLE_WORK_BUDGET took more than 6.4 s.
+# at most 1.3e-8 s over 378 cells with k <= n <= 800, and the slowest tables
+# within TABLE_WORK_BUDGET (--k 560:567 --n 800, --k 489:500 --n 700) took at
+# most 6.6 s, printing under the default int digit limit included.
 TABLE_WORK_BUDGET = 5 * 10**8
 TABLE_CELL_WORK = 30_000
 

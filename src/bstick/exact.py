@@ -46,12 +46,15 @@ __all__ = [
 MAX_CAP = 800
 # whitworth_survivor's work: terms * ((n - 1) * bits of x's denominator)^2.
 # Each term's power and gcd act on integers of (n - 1) * bits bits, at about
-# 2.5e-12 s per unit on a 2 vCPU Xeon, so this budget is about 1 s.
+# 2.5e-12 s per unit on a 2 vCPU Xeon, so this budget is about 1 s.  The value
+# has at most (n - 1) * bits bits, and printing it in decimal costs about that
+# squared, so the budget bounds printing too: at its edge (one term, n = 800,
+# a 791-bit denominator) `bstick exact` took 1.6 s on that host, printing included.
 WHITWORTH_WORK_BUDGET = 4 * 10**11
 
 
 class CapExceededError(Exception):
-    """An exact value's n or work exceeds its bound, or it is too long to print."""
+    """An exact value's n or work exceeds its bound; raised before the work starts."""
 
 
 @dataclass(frozen=True)

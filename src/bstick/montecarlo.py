@@ -20,10 +20,11 @@ indicator; wider sub-blocks stay C-ordered.  Each thread writes its sub-blocks
 into the same scratch arrays (sticks.scratch_array) from block to block and
 from one estimate to the next, so a run does not keep faulting in fresh pages.
 The uniform sampler draws into the sub-block's own spacings array, row sums
-and column maxima go into rows the work already holds, and 'exists' keeps
-its running sums in a ring of k rows, so a thread keeps about two
-block-sized arrays, the spacings and the sorted columns, and the k rows of
-the ring.
+go into a row the work already holds, and 'exists' keeps its running sums in
+a ring of k rows, so a thread keeps about two block-sized arrays, the
+spacings and the sorted columns, and the k rows of the ring.  The
+max-spacing test keeps no scratch: each trial's largest spacing goes into a
+fresh array of one value per trial.
 """
 
 from __future__ import annotations

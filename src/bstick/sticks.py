@@ -506,19 +506,13 @@ def event_indicator_batch(event: EventSpec, spacings: np.ndarray) -> np.ndarray:
     """Evaluate the event indicator on a (trials, n) batch of spacing vectors.
 
     The one predicate path: the scalar predicates call it on a single row.
-    Up to NETWORK_MAX_N values per row the predicates work on the columns
+    max-spacing takes each row's maximum, for every n and layout.  Up to
+    NETWORK_MAX_N values per row the polygon predicates work on the columns
     spacings.T, which are contiguous when ``spacings`` is F-ordered; a
     C-ordered batch gives the same result.
     """
-    count, n = spacings.shape
     if event.kind is EventKind.MAX_SPACING:
-        if n > NETWORK_MAX_N:
-            return spacings.max(axis=1) > float(event.x)
-        work = scratch_array("columns", (n + 1, count))
-        cols = spacings.T
-        if not cols.flags.c_contiguous:
-            cols = work[:n]
-            np.copyto(cols, spacings.T)
-        return cols.max(axis=0, out=work[n]) > float(event.x)
+        return spacings.max(axis=1) > float(event.x)
+    n = spacings.shape[1]
     event.validate_for(n)
     return _polygon_indicator(event.kind, spacings, event.k)

@@ -29,17 +29,16 @@ from bstick.cli import (
     EXIT_VERIFY_FAILED,
     RECORD_FIELDS,
     REPORT_FIELDS,
-    _check_printable,
     build_parser,
-    fraction_to_decimal,
+    fraction_texts,
     main,
     parse_range,
     parse_rational,
 )
-from bstick.exact import CapExceededError
 from bstick.montecarlo import GENERATOR_ID, MAX_WORKERS, default_workers
 from bstick.verify import VerificationEntry, VerificationReport
 
+from decimal import Decimal
 from fractions import Fraction
 
 F = Fraction
@@ -106,11 +105,12 @@ def test_parse_range():
             parse_range(bad)
 
 
-def test_fraction_to_decimal_is_12_significant_digits():
-    assert fraction_to_decimal(F(1, 4)) == "0.25"
-    assert fraction_to_decimal(F(43, 189)) == "0.227513227513"
-    assert fraction_to_decimal(F(2, 3)) == "0.666666666667"
-    assert fraction_to_decimal(F(1, 10**30)) == "1e-30"
+def test_fraction_texts_are_num_den_and_12_significant_digits():
+    assert fraction_texts(F(1, 4)) == ("1/4", "0.25")
+    assert fraction_texts(F(43, 189)) == ("43/189", "0.227513227513")
+    assert fraction_texts(F(2, 3)) == ("2/3", "0.666666666667")
+    assert fraction_texts(F(1, 10**30)) == (f"1/1{'0' * 30}", "1e-30")
+    assert fraction_texts(F(-5, 7)) == ("-5/7", "-0.714285714286")
 
 
 # -------------------------------------------------------------------- exact
@@ -287,25 +287,54 @@ def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x):
     assert elapsed < 1.0
 
 
-def test_exact_value_too_long_to_print_is_a_cap_exit():
-    """A value past Python's int-to-str digit limit exits 3 with a message
-    naming that limit, not 2 with Python's own ValueError.  The denominator
-    here is 1000001^799, about 4800 digits."""
+def _read_back(value_exact: str) -> Fraction:
+    """A printed 'num/den' as a Fraction, read through Decimal, which has no
+    digit limit."""
+    num, den = value_exact.split("/")
+    return F(Decimal(num)) / F(Decimal(den))
+
+
+def test_values_past_the_int_digit_limit_print_in_full():
+    """Under Python's default int-to-str digit limit (4300), every admitted
+    value prints in full.  The Whitworth denominator is 1000001^799, about
+    4800 digits, and the table's cells have 4300-5700 digits."""
+    limit = {"PYTHONINTMAXSTRDIGITS": "4300"}
     proc = run_subprocess("exact", "--formula", "whitworth", "--n", "800",
-                          "--x", "333334/1000001", PYTHONINTMAXSTRDIGITS="4300")
-    assert proc.returncode == EXIT_CAP and proc.stdout == ""
-    assert "more than 4300 decimal digits, the printable limit" in proc.stderr
+                          "--x", "333334/1000001", **limit)
+    assert proc.returncode == EXIT_OK
+    [rec] = records_of(proc.stdout)
+    value = exact.whitworth_survivor(800, F(333334, 1000001))
+    assert value.denominator >= 10**4300
+    assert _read_back(rec["value_exact"]) == value
+    # value_decimal is value rounded to 12 significant digits.
+    rounded = Decimal(rec["value_decimal"])
+    assert len(rounded.as_tuple().digits) <= 12
+    assert abs(F(rounded) - value) <= F(1, 2) * F(10) ** (rounded.adjusted() - 11)
+
+    proc = run_subprocess("table", "--k", "134:135", "--n", "299:300", **limit)
+    assert proc.returncode == EXIT_OK
+    recs = records_of(proc.stdout)
+    assert [(r["k"], r["n"]) for r in recs] == [(134, 299), (134, 300), (135, 299), (135, 300)]
+    values = [exact.prob_all_kgon(r["k"], r["n"]) for r in recs]
+    assert [_read_back(r["value_exact"]) for r in recs] == values
+    assert max(v.denominator for v in values) >= 10**4300
 
 
-def test_printable_limit_is_exact_at_the_boundary(monkeypatch):
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 700)
-    _check_printable(F(10**700 - 1, 3))  # 700 digits
-    with pytest.raises(CapExceededError, match="more than 700 decimal digits"):
-        _check_printable(F(-1, 10**700))
-    with pytest.raises(CapExceededError):
-        _check_printable(F(-(10**700), 3))
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
-    _check_printable(F(1, 10**7000))
+def test_whitworth_at_its_work_bound_prints_in_full():
+    """x = (2^789 + 1)/2^790 at n = 800 is one term of 799 * 791 bits, work
+    3.99e11, just inside WHITWORTH_WORK_BUDGET: its value, about 190 000
+    digits in each of its numerator and denominator, prints in full."""
+    x = F(2**789 + 1, 2**790)
+    assert (799 * 791) ** 2 <= exact.WHITWORTH_WORK_BUDGET < (799 * 792) ** 2
+    proc = run_subprocess("exact", "--formula", "whitworth", "--n", "800",
+                          "--x", f"{x.numerator}/{x.denominator}",
+                          PYTHONINTMAXSTRDIGITS="4300")
+    assert proc.returncode == EXIT_OK
+    [rec] = records_of(proc.stdout)
+    value = exact.whitworth_survivor(800, x)
+    num, den = rec["value_exact"].split("/")
+    for text, part in ((num, value.numerator), (den, value.denominator)):
+        assert 10 ** (len(text) - 1) <= part < 10 ** len(text)
 
 
 # -------------------------------------------------------------------- table

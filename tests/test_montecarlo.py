@@ -534,8 +534,8 @@ def test_thread_workspace_over_the_verify_grid_is_bounded():
     """A thread's scratch arrays over verify's mc grid at its default trials
     (full 2^16-trial chunks) stay within 1.6 MiB: sub-blocks of BLOCK_VALUES
     values, the uniform draws written into the spacings array itself, the
-    running sums of 'exists' in a ring of k rows, and no separate array for
-    row sums or column maxima."""
+    running sums of 'exists' in a ring of k rows, no separate array for row
+    sums, and no scratch at all for the max-spacing test."""
     sizes = []
 
     def run():
