@@ -1,14 +1,14 @@
 """Command-line surface: exact values, tables, simulation, verification.
 
 Output goes to stdout as JSON (a single top-level array of records) or CSV
-with a fixed header; diagnostics go to stderr.  Identical invocations with
-identical seeds produce byte-identical output except the timestamp field.
+with a fixed header; diagnostics go to stderr.  Identical argv give
+byte-identical output except the timestamp field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 an exact-
 arithmetic bound exceeded (refused before the work starts), 4 simulation
-budget exceeded, 5 I/O error, 130 interrupted (Ctrl-C).  The bounds also
-bound every exact value's size, so every value they admit prints in full,
-whatever sys.get_int_max_str_digits().
+budget exceeded, 5 stdout could not be written, 130 interrupted (Ctrl-C).
+The bounds also bound every exact value's size, so every value they admit
+prints in full, whatever sys.get_int_max_str_digits().
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -29,7 +28,6 @@ from . import exact, verify
 from .exact import CapExceededError
 from .montecarlo import (
     DEFAULT_TRIAL_BUDGET,
-    MAX_SEED,
     MAX_WORKERS,
     BudgetExceededError,
     SimulationConfig,
@@ -108,19 +106,6 @@ def parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
-
-
-def _default_seed() -> int:
-    env = os.environ.get("BSTICK_SEED")
-    if env is None:
-        return 0
-    try:
-        value = int(env, 10)
-    except ValueError:
-        raise ValueError(f"BSTICK_SEED must be a decimal integer, got {env!r}") from None
-    if not 0 <= value <= MAX_SEED:
-        raise ValueError("BSTICK_SEED must fit in an unsigned 64-bit integer")
-    return value
 
 
 def _record(
@@ -202,15 +187,15 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     formula = exact.FORMULAS[args.formula]
     _check_options(f"--formula {args.formula}", formula.arg, args)
     n = args.n
+    arg = parse_rational(args.x) if formula.arg == "x" else args.k
+    # Evaluate first: the value's own checks bound x before its label prints it.
+    value = formula.evaluate(n, arg)
     if formula.arg == "x":
-        arg = parse_rational(args.x)
         k, event = None, f"{args.formula}:x={arg}"
     else:
-        arg = args.k
         k = arg if formula.arg == "k" else formula.k_of_n(n)
         event = args.formula
-    rec = _record("exact", k=k, n=n, event=event,
-                  value_exact=formula.evaluate(n, arg))
+    rec = _record("exact", k=k, n=n, event=event, value_exact=value)
     emit_records([rec], args.format, sys.stdout)
     return EXIT_OK
 
@@ -259,10 +244,10 @@ def _build_event(args: argparse.Namespace) -> EventSpec:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     event = _build_event(args)
     model = SamplerModel(args.model)
-    config = SimulationConfig(n=args.n, event=event, model=model, trials=args.trials, seed=seed)
+    config = SimulationConfig(n=args.n, event=event, model=model, trials=args.trials,
+                              seed=args.seed)
     result = estimate(config, workers=args.workers, budget=args.budget)
     rec = _record(
         "estimate", k=event.k, n=args.n, event=event.label(),
@@ -276,19 +261,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = verify.run_all(args.n_max, args.trials, seed, args.workers, suite=args.suite)
-
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                emit_report(report, args.format, fh)
-        except OSError as err:
-            print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        emit_report(report, args.format, sys.stdout)
-
+    report = verify.run_all(args.n_max, args.trials, args.seed, args.workers, suite=args.suite)
+    emit_report(report, args.format, sys.stdout)
     for total in report.totals:
         print(f"suite {total.suite}: {total.checks} checks, {total.failed} failed, "
               f"{total.runtime_ms} ms", file=sys.stderr)
@@ -328,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--k", type=int)
     p_sim.add_argument("--x", help="rational threshold for max-spacing")
     p_sim.add_argument("--trials", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="default: BSTICK_SEED environment variable, else 0")
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--model", choices=["uniform", "exponential"], default="uniform")
     p_sim.add_argument("--workers", type=int, default=1,
                        help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS})")
@@ -342,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--n-max", type=int, default=20)
     p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--workers", type=int, default=default_workers(),
                        help=f"Monte Carlo estimates run at a time (1..{MAX_WORKERS}); "
                             "default: the CPUs this process may use")
-    p_ver.add_argument("--out", help="write the report to this file instead of stdout")
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

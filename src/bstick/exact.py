@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 # pochhammer is not called here, but perfbench's tracer rebinds exact.pochhammer.
 from .kernel import Rational, beta_int, binomial, falling_product, fibonacci, pochhammer
@@ -29,14 +29,12 @@ __all__ = [
     "FORMULAS",
     "CapExceededError",
     "Formula",
-    "ProblemSpec",
     "prob_all_kgon",
     "prob_all_ngon",
     "prob_all_triangle",
     "prob_all_quadrilateral_beta",
     "prob_all_pentagon_beta",
     "whitworth_survivor",
-    "joint_spacing_survivor",
     "prob_exists_triangle",
     "alternating_factorial_identity",
 ]
@@ -57,18 +55,6 @@ class CapExceededError(Exception):
     """An exact value's n or work exceeds its bound; raised before the work starts."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A polygon probability problem: form a k-gon from n broken-stick pieces."""
-
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 3 <= self.k <= self.n:
-            raise ValueError(f"need 3 <= k <= n, got k={self.k}, n={self.n}")
-
-
 def _check_cap(n: int) -> None:
     if n > MAX_CAP:
         raise CapExceededError(f"n={n} exceeds the limit MAX_CAP = {MAX_CAP}")
@@ -87,8 +73,9 @@ def prob_all_kgon(k: int, n: int) -> Rational:
     evaluated as the integer ratio C(m, j) * j / prod_{i=1}^{k-2} (m + ij),
     the same rational with no Fraction arithmetic inside the term.
     """
-    spec = ProblemSpec(k, n)
-    _check_cap(spec.n)
+    if not 3 <= k <= n:
+        raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
+    _check_cap(n)
     m = n - k + 2
     total = Fraction(0)
     for j in range(1, m + 1):
@@ -171,19 +158,6 @@ def whitworth_survivor(n: int, x: Rational) -> Rational:
         term = (1 - j * x) ** (n - 1) * binomial(n, j)
         total += term if j % 2 == 1 else -term
     return total
-
-
-def joint_spacing_survivor(c: Iterable[Rational]) -> Rational:
-    """P(spacing_i > c_i for all i) = (1 - sum c_i)^(n-1), or 0 once sum c_i >= 1."""
-    cs = [Fraction(ci) for ci in c]
-    if not cs:
-        raise ValueError("joint_spacing_survivor requires at least one bound")
-    if any(ci < 0 for ci in cs):
-        raise ValueError("joint_spacing_survivor requires nonnegative bounds")
-    s = sum(cs, Fraction(0))
-    if s >= 1:
-        return Fraction(0)
-    return (1 - s) ** (len(cs) - 1)
 
 
 def prob_exists_triangle(n: int) -> Rational:

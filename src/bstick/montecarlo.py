@@ -102,6 +102,9 @@ IN_FLIGHT_PER_WORKER = 2
 # Largest seed: a seed is one 64-bit word of the generator key.
 MAX_SEED = 2**64 - 1
 
+# The normal quantile of every estimate's 95% Wilson interval.
+_Z95 = NormalDist().inv_cdf(0.975)
+
 
 def default_workers() -> int:
     """The CPUs this process may run on, at most MAX_WORKERS.
@@ -206,21 +209,18 @@ class EstimateResult:
         return sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
 
 
-def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% confidence interval for a binomial proportion.
 
     Well-behaved near 0 and 1, which matters here: the all-triangles
     probability is already below 2% at n = 5.
     """
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials and trials >= 1")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
-    z = NormalDist().inv_cdf(0.5 + level / 2)
     p = successes / trials
-    z2n = z * z / trials
+    z2n = _Z95 * _Z95 / trials
     center = (p + z2n / 2) / (1 + z2n)
-    half = z * sqrt(p * (1 - p) / trials + z2n / (4 * trials)) / (1 + z2n)
+    half = _Z95 * sqrt(p * (1 - p) / trials + z2n / (4 * trials)) / (1 + z2n)
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high

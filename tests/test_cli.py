@@ -1,4 +1,4 @@
-"""CLI behavior: record schemas, exit codes, env seed, and output determinism.
+"""CLI behavior: record schemas, exit codes, and output determinism.
 
 All invocations go through main(argv) in-process so capsys sees the streams.
 """
@@ -287,6 +287,19 @@ def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--n", "5", "--event", "max-spacing", "--trials", "1000"),
+    ("exact", "--formula", "whitworth", "--n", "5"),
+])
+def test_decimal_x_at_the_digit_limit_is_refused_by_its_range(command):
+    """1e4300 passes parse_rational's exponent guard but has 4301 digits: the
+    range check on x refuses it before any label would print it."""
+    proc = run_subprocess(*command, "--x", "1e4300", PYTHONINTMAXSTRDIGITS="4300")
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Exceeds the limit" not in line
+
+
 def _read_back(value_exact: str) -> Fraction:
     """A printed 'num/den' as a Fraction, read through Decimal, which has no
     digit limit."""
@@ -395,28 +408,6 @@ def test_simulate_record_and_accuracy(capsys):
     assert rec["ci_low"] < 0.25 < rec["ci_high"]
 
 
-def test_simulate_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("BSTICK_SEED", "555")
-    code, out, _ = run(
-        capsys, "simulate", "--n", "4", "--event", "exists", "--k", "3",
-        "--trials", "20000",
-    )
-    assert code == EXIT_OK
-    assert records_of(out)[0]["seed"] == 555
-    # an explicit flag beats the environment
-    code, out, _ = run(
-        capsys, "simulate", "--n", "4", "--event", "exists", "--k", "3",
-        "--trials", "20000", "--seed", "7",
-    )
-    assert records_of(out)[0]["seed"] == 7
-    monkeypatch.setenv("BSTICK_SEED", "not-a-number")
-    code, _, err = run(
-        capsys, "simulate", "--n", "4", "--event", "exists", "--k", "3",
-        "--trials", "20000",
-    )
-    assert code == EXIT_USAGE and "BSTICK_SEED" in err
-
-
 def test_simulate_output_identical_across_worker_counts(capsys):
     argv = ["simulate", "--n", "6", "--event", "max-spacing", "--x", "1/2",
             "--trials", "150000", "--seed", "3", "--format", "csv"]
@@ -508,15 +499,10 @@ def test_verify_exact_suite(capsys):
     assert "checks, 0 failed" in err
 
 
-def test_verify_report_csv_and_out_file(capsys, tmp_path):
-    target = tmp_path / "report.csv"
-    code, out, err = run(
-        capsys, "verify", "--suite", "identities", "--out", str(target),
-        "--format", "csv",
-    )
+def test_verify_report_csv_on_stdout(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--format", "csv")
     assert code == EXIT_OK
-    assert out == ""  # report went to the file
-    lines = target.read_text().splitlines()
+    lines = out.splitlines()
     assert lines[0] == "check_id,expected,actual,residual,tolerance,passed,runtime_ms"
     assert len(lines) > 1
 
@@ -544,12 +530,19 @@ def test_verify_prints_per_suite_totals_on_stderr(capsys):
     assert last == f"{sum(checks)} checks, 0 failed"
 
 
-def test_verify_unwritable_out_is_io_error(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "verify", "--suite", "exact", "--n-max", "6",
-        "--out", str(tmp_path / "missing" / "report.json"),
-    )
-    assert code == EXIT_IO and "cannot write" in err
+def test_unwritable_stdout_is_io_error(capsys, monkeypatch):
+    """A closed pipe on stdout (`bstick ... | head -c 100`) ends in one error
+    line and exit 5, not a traceback."""
+
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = main(["exact", "--formula", "theorem1", "--k", "4", "--n", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 def test_verify_mc_suite_small(capsys):

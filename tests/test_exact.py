@@ -16,9 +16,7 @@ from bstick.exact import (
     MAX_CAP,
     WHITWORTH_WORK_BUDGET,
     CapExceededError,
-    ProblemSpec,
     alternating_factorial_identity,
-    joint_spacing_survivor,
     prob_all_kgon,
     prob_all_ngon,
     prob_all_pentagon_beta,
@@ -32,13 +30,12 @@ from bstick.kernel import binomial, falling_product, pochhammer
 F = Fraction
 
 
-def test_problem_spec_validation():
-    ProblemSpec(3, 3)
-    ProblemSpec(4, 9)
-    with pytest.raises(ValueError):
-        ProblemSpec(2, 5)
-    with pytest.raises(ValueError):
-        ProblemSpec(6, 5)
+def test_prob_all_kgon_domain():
+    assert prob_all_kgon(3, 3) == F(1, 4)
+    assert 0 < prob_all_kgon(4, 9) < 1
+    for k, n in ((2, 5), (6, 5)):
+        with pytest.raises(ValueError, match=f"need 3 <= k <= n, got k={k}, n={n}"):
+            prob_all_kgon(k, n)
 
 
 def test_prob_all_kgon_frozen_values():
@@ -156,30 +153,6 @@ def test_whitworth_is_a_survivor_function(n, x1, x2):
     p_lo = whitworth_survivor(n, lo)
     p_hi = whitworth_survivor(n, hi)
     assert 0 <= p_hi <= p_lo <= 1
-
-
-def test_joint_spacing_survivor():
-    # one bound: P(single spacing of n... ) degenerates to the n=1 stick
-    assert joint_spacing_survivor([F(1, 4)]) == 1
-    assert joint_spacing_survivor([F(1, 4), F(1, 4)]) == F(1, 2)
-    assert joint_spacing_survivor([F(1, 3), F(1, 3), F(1, 3)]) == 0
-    assert joint_spacing_survivor([F(1, 10)] * 5) == F(1, 2) ** 4
-    with pytest.raises(ValueError):
-        joint_spacing_survivor([])
-    with pytest.raises(ValueError):
-        joint_spacing_survivor([F(-1, 2), F(1, 4)])
-
-
-@given(st.lists(st.fractions(min_value=F(0), max_value=F(1, 2), max_denominator=30),
-                min_size=1, max_size=8))
-@settings(max_examples=100)
-def test_joint_spacing_survivor_range_and_monotonicity(cs):
-    p = joint_spacing_survivor(cs)
-    assert 0 <= p <= 1
-    # tightening any one bound cannot raise the probability
-    tightened = list(cs)
-    tightened[0] += F(1, 30)
-    assert joint_spacing_survivor(tightened) <= p
 
 
 def test_prob_exists_triangle_frozen_values():

@@ -1,7 +1,9 @@
 """Estimator reproducibility, Wilson intervals, and agreement with exact values."""
 
+import json
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -12,7 +14,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bstick import montecarlo, sticks
+import bstick
+from bstick import exact, montecarlo, sticks
 from bstick.cli import main
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
@@ -26,6 +29,7 @@ from bstick.montecarlo import (
     EstimateResult,
     SimulationConfig,
     estimate,
+    run_in_order,
     wilson_interval,
 )
 from bstick.sticks import EventSpec, SamplerModel, _subset_check_batch, sample_spacings_batch
@@ -67,8 +71,6 @@ def test_wilson_boundary_cases():
     assert low == 0.0 and 0 < high < 0.02
     low, high = wilson_interval(500, 500)
     assert high == 1.0 and 0.98 < low < 1
-    low, high = wilson_interval(3, 7, level=0.5)
-    assert 0 < low < 3 / 7 < high < 1
 
 
 def test_wilson_validation():
@@ -76,8 +78,6 @@ def test_wilson_validation():
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
         wilson_interval(11, 10)
-    with pytest.raises(ValueError):
-        wilson_interval(5, 10, level=1.0)
 
 
 # --------------------------------------------------------------- config
@@ -94,15 +94,27 @@ def test_simulation_config_validation():
         _config(n=4, event=EventSpec.all_k_subsets(5))
 
 
-def test_chunk_size_and_interval_level_are_not_settings():
+def test_chunk_size_and_interval_level_are_not_settings(capsys, monkeypatch):
     """An estimate is fixed by (seed, trials, n, event, model): the chunk size
-    is the constant CHUNK_SIZE and the interval is always the 95% one."""
+    is the constant CHUNK_SIZE, the interval is always the 95% one, the seed
+    comes from argv alone, the report goes to stdout alone, and the exact
+    names no caller used are gone."""
     with pytest.raises(TypeError):
         _config(chunk_size=1000)
     with pytest.raises(TypeError):
         estimate(_config(trials=10), ci_level=0.9)
-    assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000",
-                 "--chunk-size", "1000"]) == 2
+    with pytest.raises(TypeError):
+        wilson_interval(3, 7, level=0.5)
+    simulate = ["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"]
+    assert main([*simulate, "--chunk-size", "1000"]) == 2
+    assert main(["verify", "--suite", "identities", "--out", "report.json"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("BSTICK_SEED", "555")
+    assert main(simulate) == 0
+    assert json.loads(capsys.readouterr().out)[0]["seed"] == 0
+    for name in ("ProblemSpec", "joint_spacing_survivor"):
+        assert not hasattr(bstick, name) and name not in bstick.__all__
+        assert not hasattr(exact, name) and name not in exact.__all__
 
 
 def test_budget_guard():
@@ -241,6 +253,33 @@ def test_failing_chunk_cancels_the_queued_chunks(monkeypatch, workers):
         estimate(_config(trials=1000), workers=workers)
     assert set(range(failing + 1)) <= set(started)
     assert max(started) <= failing + IN_FLIGHT_PER_WORKER * workers
+
+
+@pytest.mark.parametrize("workers", [2, 4, 64])
+def test_no_scheduler_thread_outlives_a_call(workers):
+    """run_in_order's pool threads are gone when the call ends: after the
+    last item, after an item raises, and after the consumer closes it."""
+    before = threading.active_count()
+
+    def square(i):
+        time.sleep(0.001)
+        if i == failing:
+            raise _ChunkFailed
+        return i * i
+
+    failing = None
+    assert list(run_in_order(square, range(20), workers)) == [i * i for i in range(20)]
+    assert threading.active_count() == before
+    failing = 5
+    with pytest.raises(_ChunkFailed):
+        list(run_in_order(square, range(20), workers))
+    assert threading.active_count() == before
+    failing = None
+    results = run_in_order(square, range(20), workers)
+    assert next(results) == 0
+    assert threading.active_count() > before
+    results.close()
+    assert threading.active_count() == before
 
 
 def test_too_many_workers_is_rejected_before_any_pool(monkeypatch):
