@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -34,7 +33,7 @@ from .montecarlo import (
     default_workers,
     estimate,
 )
-from .sticks import EventSpec, SamplerModel
+from .sticks import EventKind, EventSpec, SamplerModel
 
 __all__ = ["main", "entrypoint"]
 
@@ -50,9 +49,7 @@ RECORD_FIELDS = [
     "kind", "k", "n", "event", "value_exact", "value_decimal",
     "ci_low", "ci_high", "trials", "seed", "generator_id", "timestamp",
 ]
-REPORT_FIELDS = [
-    "check_id", "expected", "actual", "residual", "tolerance", "passed", "runtime_ms",
-]
+REPORT_FIELDS = [f.name for f in fields(verify.VerificationEntry)]
 
 
 def _timestamp() -> str:
@@ -108,36 +105,14 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _record(
-    kind: str,
-    k: int | None = None,
-    n: int | None = None,
-    event: str | None = None,
-    value_exact: Fraction | None = None,
-    value_decimal: str | None = None,
-    ci_low: float | None = None,
-    ci_high: float | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    generator_id: str | None = None,
-) -> dict[str, Any]:
-    exact_text = None
+def _record(kind: str, value_exact: Fraction | None = None, **values: Any) -> dict[str, Any]:
+    """A record keyed by RECORD_FIELDS in order, absent fields None; an exact
+    value fills both value_exact and value_decimal."""
+    rec = dict.fromkeys(RECORD_FIELDS)
+    rec.update(values, kind=kind, timestamp=_timestamp())
     if value_exact is not None:
-        exact_text, value_decimal = fraction_texts(value_exact)
-    return {
-        "kind": kind,
-        "k": k,
-        "n": n,
-        "event": event,
-        "value_exact": exact_text,
-        "value_decimal": value_decimal,
-        "ci_low": ci_low,
-        "ci_high": ci_high,
-        "trials": trials,
-        "seed": seed,
-        "generator_id": generator_id,
-        "timestamp": _timestamp(),
-    }
+        rec["value_exact"], rec["value_decimal"] = fraction_texts(value_exact)
+    return rec
 
 
 def _csv_cell(value: Any) -> str:
@@ -169,17 +144,16 @@ def emit_report(report: verify.VerificationReport, fmt: str, stream) -> None:
     _write([asdict(e) for e in report.sorted_entries()], REPORT_FIELDS, fmt, stream)
 
 
-def _check_options(owner: str, takes: str | None, args: argparse.Namespace,
-                   order: tuple[str, str] = ("k", "x")) -> None:
-    """Require the option `takes` ("k", "x" or None) and refuse the other one.
+def _check_options(owner: str, takes: str | None, args: argparse.Namespace) -> None:
+    """Require the option `takes` ("k", "x" or None), then refuse the others.
 
-    The options are checked in `order` and the first violation is raised.
+    One rule for every command: a missing option it takes is reported before
+    an option it does not take, and --k before --x.
     """
-    for option in order:
-        given = getattr(args, option) is not None
-        if option == takes and not given:
-            raise ValueError(f"{owner} requires --{option}")
-        if option != takes and given:
+    if takes is not None and getattr(args, takes) is None:
+        raise ValueError(f"{owner} requires --{takes}")
+    for option in ("k", "x"):
+        if option != takes and getattr(args, option) is not None:
             raise ValueError(f"{owner} does not take --{option}")
 
 
@@ -200,13 +174,16 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Theorem 1 at (k, n), m = n - k + 2, costs about m*k*sqrt(m*n) work units, and
-# each cell's record at least TABLE_CELL_WORK more.  On a 2 vCPU Xeon a unit took
-# at most 1.3e-8 s over 378 cells with k <= n <= 800, and the slowest tables
-# within TABLE_WORK_BUDGET (--k 560:567 --n 800, --k 489:500 --n 700) took at
-# most 6.6 s, printing under the default int digit limit included.
-TABLE_WORK_BUDGET = 5 * 10**8
-TABLE_CELL_WORK = 30_000
+# Theorem 1 at (k, n) adds m = n - k + 2 terms, each over a product of k - 2
+# factors, into a sum whose denominator grows to about m*k bits.  A cell and its
+# record cost about mk * (mk * bits(mk) + 94_000) + m * (9_800*m + 1_780_000)
+# work units, mk = m*k.  On a 2 vCPU Xeon a unit took 1.9e-12 to 2.8e-12 s over
+# the cells n in {50, 100, 200, 400, 800} x k in {3, n/4, n/2, 0.6n, 0.75n, 0.9n},
+# and 1.6e-12 to 3.0e-12 s over eleven whole tables, so a table within the budget
+# takes at most about 6 s.  From a fresh interpreter, printing included,
+# --k 3:12 --n 778:800 (0.98x the budget) took 5.9 s and --k 3:200 --n 195:200
+# (0.98x) 5.0 s; --k 560:567 --n 800 (1.35x) is refused.
+TABLE_WORK_BUDGET = 2 * 10**12
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -220,7 +197,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for k in range(k_lo, min(k_hi, n_hi) + 1):
         for n in range(max(k, n_lo), n_hi + 1):
             m = n - k + 2
-            work += m * k * math.isqrt(m * n) + TABLE_CELL_WORK
+            mk = m * k
+            work += mk * (mk * mk.bit_length() + 94_000) + m * (9_800 * m + 1_780_000)
             if work > TABLE_WORK_BUDGET:
                 raise CapExceededError(
                     f"the table exceeds the work bound TABLE_WORK_BUDGET = "
@@ -233,14 +211,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _build_event(args: argparse.Namespace) -> EventSpec:
-    # An event's own option is checked first, then the one it refuses.
-    order = ("x", "k") if args.event == "max-spacing" else ("k", "x")
-    _check_options(f"--event {args.event}", order[0], args, order)
-    if args.event == "max-spacing":
+    kind = EventKind(args.event)
+    takes = "x" if kind is EventKind.MAX_SPACING else "k"
+    _check_options(f"--event {args.event}", takes, args)
+    if kind is EventKind.MAX_SPACING:
         return EventSpec.max_spacing(parse_rational(args.x))
-    if args.event == "all":
-        return EventSpec.all_k_subsets(args.k)
-    return EventSpec.exists_k(args.k)
+    return EventSpec(kind, k=args.k)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -281,36 +257,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo estimates, and cross-validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_exact = sub.add_parser("exact", help="evaluate one closed-form probability")
+    p_exact = sub.add_parser("exact", parents=[output],
+                             help="evaluate one closed-form probability")
     p_exact.add_argument("--formula", required=True, choices=sorted(exact.FORMULAS))
     p_exact.add_argument("--k", type=int)
     p_exact.add_argument("--n", type=int, required=True)
     p_exact.add_argument("--x", help="rational threshold, e.g. 1/2 or 0.5")
-    p_exact.add_argument("--format", choices=["json", "csv"], default="json")
     p_exact.set_defaults(func=_cmd_exact)
 
-    p_table = sub.add_parser("table", help="tabulate the general formula over ranges")
+    p_table = sub.add_parser("table", parents=[output],
+                             help="tabulate the general formula over ranges")
     p_table.add_argument("--k", required=True, help="range A:B or single value")
     p_table.add_argument("--n", required=True, help="range A:B or single value")
-    p_table.add_argument("--format", choices=["json", "csv"], default="json")
     p_table.set_defaults(func=_cmd_table)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of an event probability")
+    p_sim = sub.add_parser("simulate", parents=[output],
+                           help="Monte Carlo estimate of an event probability")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--event", required=True, choices=["all", "exists", "max-spacing"])
+    p_sim.add_argument("--event", required=True, choices=[e.value for e in EventKind])
     p_sim.add_argument("--k", type=int)
     p_sim.add_argument("--x", help="rational threshold for max-spacing")
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--model", choices=["uniform", "exponential"], default="uniform")
+    p_sim.add_argument("--model", choices=[m.value for m in SamplerModel],
+                       default=SamplerModel.UNIFORM_BREAKS.value)
     p_sim.add_argument("--workers", type=int, default=1,
                        help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS})")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)
-    p_sim.add_argument("--format", choices=["json", "csv"], default="json")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_ver = sub.add_parser("verify", help="run cross-validation suites")
+    p_ver = sub.add_parser("verify", parents=[output], help="run cross-validation suites")
     p_ver.add_argument("--suite", required=True,
                        choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--n-max", type=int, default=20)
@@ -319,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--workers", type=int, default=default_workers(),
                        help=f"Monte Carlo estimates run at a time (1..{MAX_WORKERS}); "
                             "default: the CPUs this process may use")
-    p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

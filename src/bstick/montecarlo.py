@@ -12,41 +12,32 @@ BLOCK_VALUES spacing values (at least one trial), which bounds a chunk's
 memory (n is capped at MAX_N, so a sub-block holds at most MAX_N values).  The
 sub-blocks consume the chunk's draws in order, and the samplers and predicates
 work one column (one spacing index of every trial) at a time with the same
-arithmetic as the row-major form, so neither the sub-blocks nor the column
-layout change any spacing, indicator or success count.  Up to
-sticks.NETWORK_MAX_N values per trial a sub-block is sampled into an F-ordered
-(trials, n) array, so its columns stay contiguous from the sampler to the
-indicator; wider sub-blocks stay C-ordered.  Each thread writes its sub-blocks
-into the same scratch arrays (sticks.scratch_array) from block to block and
-from one estimate to the next, so a run does not keep faulting in fresh pages.
-The uniform sampler draws into the sub-block's own spacings array, row sums
-go into a row the work already holds, and 'exists' keeps its running sums in
-a ring of k rows, so a thread keeps about two block-sized arrays, the
-spacings and the sorted columns, and the k rows of the ring.  The
-max-spacing test keeps no scratch: each trial's largest spacing goes into a
-fresh array of one value per trial.
+arithmetic as the row-major form, so neither the sub-blocks nor their layout
+change any spacing, indicator or success count.  Each sub-block is sampled
+into sticks.block_array, which owns the layout and the per-thread reuse of its
+memory.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import ceil, sqrt
+from math import sqrt
 from statistics import NormalDist
 
 import numpy as np
 
 from .sticks import (
-    NETWORK_MAX_N,
     EventSpec,
     SamplerModel,
+    block_array,
     event_indicator_batch,
     sample_spacings_batch,
-    scratch_array,
 )
 
 __all__ = [
@@ -72,6 +63,9 @@ __all__ = [
 GENERATOR_ID = "philox4x64-10/key=(seed,chunk):v1"
 
 # Trials per chunk, part of the stream layout: changing it changes estimates.
+# An estimate takes at most sys.maxsize chunks (CHUNK_SIZE * sys.maxsize
+# trials, about 6e23 on 64-bit builds), so every chunk index is a Python
+# sequence index and fits the generator key's second word.
 CHUNK_SIZE = 1 << 16
 
 # Guard on trials * n, the total spacing values a run would draw and test.
@@ -187,6 +181,10 @@ class SimulationConfig:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if _chunk_count(self.trials) > sys.maxsize:
+            raise ValueError(
+                f"trials must be at most CHUNK_SIZE * sys.maxsize = "
+                f"{CHUNK_SIZE * sys.maxsize}, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.event.validate_for(self.n)
@@ -226,6 +224,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+def _chunk_count(trials: int) -> int:
+    return -(-trials // CHUNK_SIZE)
+
+
 def _philox_key(seed: int, chunk_index: int) -> np.ndarray:
     return np.array([seed, chunk_index], dtype=np.uint64)
 
@@ -238,11 +240,8 @@ def _chunk_successes(config: SimulationConfig, chunk_index: int) -> int:
     successes = 0
     for first in range(0, count, rows):
         size = min(rows, count - first)
-        if config.n <= NETWORK_MAX_N:
-            out = scratch_array("spacings", (config.n, size)).T
-        else:
-            out = scratch_array("spacings", (size, config.n))
-        spacings = sample_spacings_batch(config.n, config.model, rng, size, out=out)
+        spacings = sample_spacings_batch(config.n, config.model, rng, size,
+                                         out=block_array(config.n, size))
         hits = event_indicator_batch(config.event, spacings)
         successes += int(np.count_nonzero(hits))
     return successes
@@ -260,8 +259,8 @@ def estimate(
     """
     check_workers(workers)
     check_budget(config.trials, config.n, budget)
-    n_chunks = ceil(config.trials / CHUNK_SIZE)
-    successes = sum(run_in_order(partial(_chunk_successes, config), range(n_chunks), workers))
+    chunks = range(_chunk_count(config.trials))
+    successes = sum(run_in_order(partial(_chunk_successes, config), chunks, workers))
     low, high = wilson_interval(successes, config.trials)
     return EstimateResult(
         p_hat=successes / config.trials,

@@ -289,6 +289,22 @@ def scratch_array(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.nda
     return buf[:size].reshape(shape)
 
 
+def block_array(n: int, count: int) -> np.ndarray:
+    """The thread's "spacings" scratch as a (count, n) array for one sub-block.
+
+    Up to NETWORK_MAX_N values per trial it is F-ordered, so its columns stay
+    contiguous from the sampler to the indicator; wider rows stay C-ordered.
+    Reusing it from block to block and from one estimate to the next keeps a
+    run from faulting in fresh pages.  The uniform sampler draws into it, row
+    sums go into a row the work already holds and 'exists' keeps a ring of k
+    rows, so a thread keeps about two block-sized arrays (this one and the
+    sorted columns) and the ring; the max-spacing test keeps no scratch.
+    """
+    if n <= NETWORK_MAX_N:
+        return scratch_array("spacings", (n, count)).T
+    return scratch_array("spacings", (count, n))
+
+
 @cache
 def _network(m: int) -> tuple[tuple[int, int], ...]:
     """Batcher's odd-even merge sort of m values as (low, high) comparators."""

@@ -180,6 +180,9 @@ def test_exact_argument_policing(capsys):
     # extraneous parameter
     code, _, err = run(capsys, "exact", "--formula", "pnn", "--n", "5", "--k", "3")
     assert code == EXIT_USAGE and "does not take --k" in err
+    # the option a formula takes is required before the other one is refused
+    code, _, err = run(capsys, "exact", "--formula", "whitworth", "--n", "5", "--k", "3")
+    assert code == EXIT_USAGE and "requires --x" in err
     code, _, err = run(capsys, "exact", "--formula", "p3n", "--n", "5", "--x", "1/2")
     assert code == EXIT_USAGE
     # invalid domain
@@ -256,19 +259,35 @@ def test_cap_above_max_cap_exits_at_once(argv):
 
 @pytest.mark.parametrize("argv, bound", [
     (("table", "--k", "3:200", "--n", "3:200"), "TABLE_WORK_BUDGET"),
+    (("table", "--k", "560:567", "--n", "800"), "TABLE_WORK_BUDGET"),
     (("exact", "--formula", "whitworth", "--n", "800",
       "--x", f"{10**1000 // 3 + 1}/{10**1000 + 1}"), "WHITWORTH_WORK_BUDGET"),
 ])
 def test_work_above_its_bound_exits_at_once(argv, bound):
     """A table or a Whitworth sum whose work exceeds its bound exits 3 before
     the first cell or power.  Unbounded, the full k <= n <= 200 table took
-    38 s and this Whitworth sum 13 s."""
+    38 s, the k = 560..567 row at n = 800 (1.35x the bound) 6.0 s and this
+    Whitworth sum 13 s."""
     t0 = time.perf_counter()
     proc = run_subprocess(*argv)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
     assert f"exceeds the work bound {bound} = " in proc.stderr
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "3:200", "--n", "195:200"),
+    ("--k", "3:12", "--n", "778:800"),
+    ("--k", "3:135", "--n", "300"),
+])
+def test_tables_within_the_work_bound_are_admitted(capsys, monkeypatch, argv):
+    """These tables fit TABLE_WORK_BUDGET (0.98x, 0.98x and 0.41x of it) and
+    took 5.0, 5.9 and 2.5 s; the values are stubbed here, since only the
+    bound's verdict is under test."""
+    monkeypatch.setattr(exact, "prob_all_kgon", lambda k, n: F(k, n))
+    code, out, _ = run(capsys, "table", *argv, "--format", "csv")
+    assert code == EXIT_OK and len(out.splitlines()) > 1
 
 
 @pytest.mark.parametrize("x", ["1e-10000000", "1e+10000000"])
@@ -428,6 +447,9 @@ def test_simulate_argument_policing(capsys):
                        "--trials", "1000")
     assert code == EXIT_USAGE and "requires --k" in err
     code, _, err = run(capsys, "simulate", "--n", "5", "--event", "max-spacing",
+                       "--trials", "1000")
+    assert code == EXIT_USAGE and "requires --x" in err
+    code, _, err = run(capsys, "simulate", "--n", "5", "--event", "max-spacing", "--k", "3",
                        "--trials", "1000")
     assert code == EXIT_USAGE and "requires --x" in err
     code, _, err = run(capsys, "simulate", "--n", "5", "--event", "all", "--k", "3",

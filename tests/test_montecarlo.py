@@ -312,6 +312,22 @@ def test_n_above_max_n_is_rejected_before_allocating():
     assert peak < BLOCK_VALUES
 
 
+def test_trials_beyond_sys_maxsize_chunks_are_a_usage_error(capsys):
+    """An estimate takes at most sys.maxsize chunks: every chunk index must be
+    a sequence index and fit the key's second word.  Past that limit 10^24
+    trials under a raised budget ended in an OverflowError traceback."""
+    limit = CHUNK_SIZE * sys.maxsize
+    assert _config(n=1, event=EventSpec.max_spacing("1/2"), trials=limit).trials == limit
+    with pytest.raises(ValueError, match="trials must be at most CHUNK_SIZE"):
+        _config(n=1, event=EventSpec.max_spacing("1/2"), trials=limit + 1)
+    code = main(["simulate", "--n", "1", "--event", "max-spacing", "--x", "1/2",
+                 "--trials", str(10**24), "--budget", str(10**30)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: trials must be at most")
+
+
 def test_n_at_max_n_is_estimated_one_trial_per_sub_block(monkeypatch):
     """MAX_N is above BLOCK_VALUES, so at n = MAX_N a sub-block is a single
     trial: two trials are sampled in two sub-blocks of one row each."""
