@@ -290,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", parents=[output], help="run cross-validation suites")
-    p_ver.add_argument("--suite", required=True,
-                       choices=[*verify.SUITES, "all"])
+    p_ver.add_argument("--suite", required=True, choices=verify.SUITE_CHOICES)
     p_ver.add_argument("--n-max", type=int, default=20)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=0)

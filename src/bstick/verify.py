@@ -11,11 +11,11 @@ Four suites (SUITES, in the order "all" runs them):
 * lemma3     -- the iterated integral that powers the general formula,
                 integrated exactly in rationals, against its exact closed
                 value (residual must be exactly 0);
-* mc         -- Monte Carlo estimates against exact values, one module-level
-                list of (check id, n, event), plus agreement between the two
-                sampler models.  Its 34 estimates run whole, `workers` at a
-                time, through montecarlo.run_in_order; workers never changes a
-                result, since each estimate is bitwise a function of its config.
+* mc         -- Monte Carlo estimates on one table in stream order, _MC_GRID,
+                whose rows name the exact.FORMULAS entry each is held to, or
+                none for a sampler pair (one event under both sampler models).
+                Its 34 estimates run whole, `workers` at a time, through
+                montecarlo.run_in_order; workers never changes a result.
 
 Each suite returns a VerificationReport of VerificationEntry records, all
 built by _entry.  run_all is the one dispatcher: it checks the arguments of
@@ -46,13 +46,14 @@ from .montecarlo import (
     estimate,
     run_in_order,
 )
-from .sticks import EventKind, EventSpec, SamplerModel
+from .sticks import EventSpec, SamplerModel
 
 __all__ = [
     "VerificationEntry",
     "SuiteTotal",
     "VerificationReport",
     "SUITES",
+    "SUITE_CHOICES",
     "check_exact_args",
     "run_exact_crosschecks",
     "run_identity_selftests",
@@ -294,23 +295,24 @@ def lemma3_residual(k: int, n: int, j: int) -> Fraction:
     return _lemma3_integral(k, n, j) - lemma3_closed_value(k, n, j)
 
 
-def run_lemma3_checks(
-    k_values: tuple[int, ...] = (4, 5), n_max: int = 8, j_max: int = 3
-) -> VerificationReport:
-    """Exact entries over a (k, n, j) grid: the integral equals the closed value.
+# The (k, n, j) points of the lemma3 suite: k in {4, 5}, n <= 8, j <= 3.
+_LEMMA3_GRID = [(k, n, j) for k in (4, 5) for n in range(k, 9)
+                for j in range(1, min(3, n - k + 2) + 1)]
+
+
+def run_lemma3_checks() -> VerificationReport:
+    """Exact entries over _LEMMA3_GRID: the integral equals the closed value.
 
     Each entry's expected is the closed value and its actual the integral,
     closed value plus lemma3_residual; equality decides, as in _exact_entry.
     """
     report = VerificationReport()
-    for k in k_values:
-        for n in range(k, n_max + 1):
-            for j in range(1, min(j_max, n - k + 2) + 1):
-                t0 = time.perf_counter()
-                closed = lemma3_closed_value(k, n, j)
-                integral = closed + lemma3_residual(k, n, j)
-                report.add(_exact_entry(f"lemma3/k={k}/n={n}/j={j}", closed, integral,
-                                        time.perf_counter() - t0))
+    for k, n, j in _LEMMA3_GRID:
+        t0 = time.perf_counter()
+        closed = lemma3_closed_value(k, n, j)
+        integral = closed + lemma3_residual(k, n, j)
+        report.add(_exact_entry(f"lemma3/k={k}/n={n}/j={j}", closed, integral,
+                                time.perf_counter() - t0))
     return report
 
 
@@ -343,18 +345,27 @@ def _timed_estimate(
     return result, time.perf_counter() - t0
 
 
+# The pass band of every mc entry, in binomial standard errors (false-failure
+# odds about 6e-7 per entry).
+_BAND_SE = 5.0
+
+
+def _pair_id(n: int, event: EventSpec) -> str:
+    return f"mc/sampler-equivalence/{event.label()}/n={n}"
+
+
 def _equivalence_entry(
-    n: int, event: EventSpec,
+    check_id: str,
     uniform: tuple[EstimateResult, float], exponential: tuple[EstimateResult, float],
 ) -> VerificationEntry:
-    """The two models' estimates must agree within 5 combined binomial SEs."""
+    """The two models' estimates must agree within _BAND_SE combined binomial SEs."""
     (res_a, seconds_a), (res_b, seconds_b) = uniform, exponential
     return _entry(
-        f"mc/sampler-equivalence/{event.label()}/n={n}",
+        check_id,
         f"{res_a.p_hat:.12g}",
         f"{res_b.p_hat:.12g}",
         abs(res_a.p_hat - res_b.p_hat),
-        5.0 * math.sqrt(res_a.std_error**2 + res_b.std_error**2),
+        _BAND_SE * math.sqrt(res_a.std_error**2 + res_b.std_error**2),
         seconds_a + seconds_b,
     )
 
@@ -365,90 +376,78 @@ def sampler_equivalence_test(
     """Estimate the same event under both sampler models and compare.
 
     The models realize the same spacing distribution, so the two estimates
-    must agree within 5 combined binomial standard errors.  The uniform run
-    takes `seed` and the exponential run _mix64(seed); each shares its chunks
-    among `workers` threads.
+    must agree within _BAND_SE combined binomial standard errors.  The uniform
+    run takes `seed` and the exponential run _mix64(seed); each shares its
+    chunks among `workers` threads.
     """
     uniform, exponential = (_timed_estimate(c, workers)
                             for c in _sampler_pair(n, event, trials, seed))
-    return _equivalence_entry(n, event, uniform, exponential)
+    return _equivalence_entry(_pair_id(n, event), uniform, exponential)
 
 
-# The mc grid, in stream order: the runs take the seeds seed, seed + 1, ...
-# first the estimates held to exact values, then the sampler-equivalence pairs.
-# (check id, n, event) of each estimate held to an exact value.
-_MC_AGAINST_EXACT = [
-    *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k))
+# The mc grid in stream order: row i takes seed + i.  A row (check id, n,
+# event, formula) holds the uniform sampler's estimate to FORMULAS[formula],
+# or is a sampler pair if formula is None.  New rows go last, so no seed moves.
+_MC_GRID = [
+    *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k), "theorem1")
       for n in range(3, 9) for k in range(3, n + 1)),
-    *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x))
+    *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x), "whitworth")
       for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4)))),
-    *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3)) for n in (4, 5)),
+    *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3), "exists-triangle") for n in (4, 5)),
+    *((_pair_id(n, event), n, event, None) for n, event in (
+        (5, EventSpec.all_k_subsets(3)), (6, EventSpec.all_k_subsets(4)),
+        (7, EventSpec.all_k_subsets(5)), (6, EventSpec.max_spacing(Fraction(1, 2))))),
 ]
-# (n, event) of each sampler-equivalence pair.
-_MC_EQUIVALENCES = [
-    (5, EventSpec.all_k_subsets(3)),
-    (6, EventSpec.all_k_subsets(4)),
-    (7, EventSpec.all_k_subsets(5)),
-    (6, EventSpec.max_spacing(Fraction(1, 2))),
-]
-
-
-def _exact_probability(n: int, event: EventSpec) -> Fraction:
-    """The exact value an mc estimate of _MC_AGAINST_EXACT is held to."""
-    if event.kind is EventKind.MAX_SPACING:
-        return exact.whitworth_survivor(n, event.x)
-    if event.kind is EventKind.EXISTS_K:
-        return exact.prob_exists_triangle(n)  # the grid holds k = 3 only
-    return exact.prob_all_kgon(event.k, n)
 
 
 def check_mc_args(trials: int, seed: int, workers: int) -> None:
     """Reject arguments of the mc suite before any suite runs.
 
-    The budget covers the whole grid: trials * n summed over its 34 runs,
-    that is trials * 205, above DEFAULT_TRIAL_BUDGET raises
-    BudgetExceededError (check_budget with n = 205).
+    The budget covers the whole grid: trials * n summed over its 34 runs (a
+    pair counts twice), that is trials * 205, above DEFAULT_TRIAL_BUDGET
+    raises BudgetExceededError (check_budget with n = 205).
     """
     if trials < 10**4:
         raise ValueError("trials must be >= 10^4")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     check_workers(workers)
-    grid_n = sum(n for _, n, _ in _MC_AGAINST_EXACT) + 2 * sum(n for n, _ in _MC_EQUIVALENCES)
+    grid_n = sum(2 * n if formula is None else n for _, n, _, formula in _MC_GRID)
     check_budget(trials, grid_n, DEFAULT_TRIAL_BUDGET)
 
 
 def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> VerificationReport:
-    """Monte Carlo estimates against exact values on a fixed grid.
+    """One entry per row of _MC_GRID, whose row i runs at seed + i modulo 2^64.
 
-    Pass band is 5 binomial standard errors around the exact probability
-    (false-failure odds about 6e-7 per entry).  The runs take the seeds
-    seed, seed + 1, ... modulo 2^64, in the order of _MC_AGAINST_EXACT and
-    then _MC_EQUIVALENCES (one seed per pair).  The grid's estimates run
+    A row with a formula holds the uniform sampler's estimate within _BAND_SE
+    binomial standard errors of the exact value, and a sampler pair holds the
+    two models' estimates within _BAND_SE combined ones.  The estimates run
     whole, up to `workers` at a time, through run_in_order; each entry's
     runtime_ms is the wall time of its own estimates.
     """
     check_mc_args(trials, seed, workers)
-    streams = ((seed + i) & MAX_SEED for i in itertools.count())
-    configs = [SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
-                                trials=trials, seed=next(streams))
-               for _, n, event in _MC_AGAINST_EXACT]
-    for n, event in _MC_EQUIVALENCES:
-        configs.extend(_sampler_pair(n, event, trials, next(streams)))
+    configs = []
+    for i, (_, n, event, formula) in enumerate(_MC_GRID):
+        pair = _sampler_pair(n, event, trials, (seed + i) & MAX_SEED)
+        configs.extend(pair if formula is None else pair[:1])
     runs = run_in_order(_timed_estimate, configs, workers)
     report = VerificationReport()
-    for (check_id, n, event), (res, seconds) in zip(_MC_AGAINST_EXACT, runs):
-        exact_p = _exact_probability(n, event)
+    for check_id, n, event, formula in _MC_GRID:
+        if formula is None:
+            report.add(_equivalence_entry(check_id, next(runs), next(runs)))
+            continue
+        res, seconds = next(runs)
+        form = exact.FORMULAS[formula]
+        exact_p = form.evaluate(n, getattr(event, form.arg) if form.arg else None)
         p = float(exact_p)
         report.add(_entry(check_id, exact_p, f"{res.p_hat:.12g}", abs(res.p_hat - p),
-                          5.0 * math.sqrt(p * (1.0 - p) / trials), seconds))
-    for n, event in _MC_EQUIVALENCES:
-        report.add(_equivalence_entry(n, event, next(runs), next(runs)))
+                          _BAND_SE * math.sqrt(p * (1.0 - p) / trials), seconds))
     return report
 
 
-# The suites in the order "all" runs them.
+# The suites in the order "all" runs them; SUITE_CHOICES are run_all's values.
 SUITES = ("exact", "identities", "lemma3", "mc")
+SUITE_CHOICES = (*SUITES, "all")
 
 
 def run_all(
@@ -462,7 +461,7 @@ def run_all(
     test) sees the call.  Each suite's checks, failures and wall time go to
     report.totals.  The full default run takes well under five minutes.
     """
-    if suite != "all" and suite not in SUITES:
+    if suite not in SUITE_CHOICES:
         raise ValueError(f"unknown suite {suite!r}")
     selected = SUITES if suite == "all" else (suite,)
     if "exact" in selected:

@@ -106,7 +106,7 @@ def test_06_alternating_factorial_identity(capfd):
 
 def test_07_iterated_integral_quadrature(capfd):
     t0 = time.perf_counter()
-    report = run_lemma3_checks(k_values=(4, 5), n_max=8, j_max=3)
+    report = run_lemma3_checks()
     ok = report.all_passed and len(report) == 25
     announce(capfd, 7, ok,
              "iterated integral equals its closed value exactly, k=4 and k=5",

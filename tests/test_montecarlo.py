@@ -5,8 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
@@ -147,44 +146,8 @@ def test_worker_count_does_not_change_the_result():
         )
 
 
-class FakeExecutor:
-    """Stands in for ThreadPoolExecutor: runs each task at once on a
-    short-lived thread of its own, one task at a time, and records the
-    workers asked for, the tasks submitted and the most futures alive at
-    once."""
-
-    instances = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.submitted = 0
-        self.most_alive = 0
-        self._alive = weakref.WeakSet()
-        FakeExecutor.instances.append(self)
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        future = Future()
-
-        def run():
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join()
-        self._alive.add(future)
-        self.most_alive = max(self.most_alive, len(self._alive))
-        return future
-
-
 @pytest.mark.parametrize("workers, chunks", [(1, 7), (4, 1), (2, 7), (5, 3), (MAX_WORKERS, 1000)])
-def test_chunk_futures_are_bounded_per_worker(monkeypatch, workers, chunks):
+def test_chunk_futures_are_bounded_per_worker(monkeypatch, fake_pools, workers, chunks):
     """With threads = min(workers, chunks), the calling thread runs chunks 0,
     threads, 2 * threads, ... and one pool of threads - 1 threads (none at
     one thread) takes one task for each other chunk.  At one trial per chunk
@@ -201,8 +164,6 @@ def test_chunk_futures_are_bounded_per_worker(monkeypatch, workers, chunks):
         ran_on[chunk_index] = threading.get_ident()
         return real_chunk(config, chunk_index)
 
-    FakeExecutor.instances.clear()
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
     monkeypatch.setattr(montecarlo, "_chunk_successes", chunk)
     assert estimate(cfg, workers=workers).successes == expected
     threads = min(workers, chunks)
@@ -210,9 +171,9 @@ def test_chunk_futures_are_bounded_per_worker(monkeypatch, workers, chunks):
     assert sorted(ran_on) == list(range(chunks))
     assert [c for c in sorted(ran_on) if ran_on[c] == threading.get_ident()] == caller_share
     if threads == 1:
-        assert FakeExecutor.instances == []
+        assert fake_pools == []
         return
-    (pool,) = FakeExecutor.instances
+    (pool,) = fake_pools
     assert pool.max_workers == threads - 1
     assert pool.submitted == chunks - len(caller_share)
     assert pool.most_alive <= IN_FLIGHT_PER_WORKER * pool.max_workers
@@ -282,14 +243,12 @@ def test_no_scheduler_thread_outlives_a_call(workers):
     assert threading.active_count() == before
 
 
-def test_too_many_workers_is_rejected_before_any_pool(monkeypatch):
-    FakeExecutor.instances.clear()
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakeExecutor)
+def test_too_many_workers_is_rejected_before_any_pool(fake_pools):
     with pytest.raises(ValueError, match="workers"):
         estimate(_config(trials=10**6), workers=MAX_WORKERS + 1)
     assert main(["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000",
                  "--workers", str(MAX_WORKERS + 1)]) == 2
-    assert FakeExecutor.instances == []
+    assert fake_pools == []
 
 
 def test_n_above_max_n_is_rejected_before_allocating():

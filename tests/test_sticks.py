@@ -223,6 +223,10 @@ def test_predicate_input_validation():
         max_spacing_exceeds([0.5, 0.5], 0.0)
     with pytest.raises(ValueError):
         subset_polygon_oracle([1.0 / 16] * 16, 3)
+    for bad in ([[0.25, 0.25], [0.25, 0.25]], []):
+        for check in (all_k_subsets_polygon, subset_polygon_oracle):
+            with pytest.raises(ValueError, match="nonempty 1-d array"):
+                check(bad, 3)
 
 
 def test_oracle_on_hand_vectors():

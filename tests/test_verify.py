@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bstick
-from bstick import montecarlo, verify
+from bstick import exact, montecarlo, verify
 from bstick.montecarlo import (
     MAX_WORKERS,
     BudgetExceededError,
@@ -131,13 +131,8 @@ def test_lemma3_checks_within_tolerance():
     for entry in report:
         assert entry.tolerance == 0.0 and entry.residual == 0.0
         assert entry.actual == entry.expected
-
-
-def test_lemma3_checks_k6_also_available():
-    report = run_lemma3_checks(k_values=(6,), n_max=9, j_max=3)
-    assert report.all_passed
-    assert all(e.check_id.startswith("lemma3/k=6/") for e in report)
-    assert all(e.residual == 0.0 for e in report)
+    with pytest.raises(TypeError):  # the grid is fixed: no k_values, n_max or j_max
+        run_lemma3_checks(k_values=(6,), n_max=9, j_max=3)
 
 
 @pytest.mark.parametrize("k, n, j", [(4, 4, 1), (4, 8, 3), (5, 5, 1), (5, 8, 3),
@@ -149,8 +144,10 @@ def test_lemma3_check_detects_a_perturbed_closed_value(monkeypatch, k, n, j):
     assert float(perturbed) == float(closed)
     monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: perturbed)
     assert lemma3_residual(k, n, j) == closed - perturbed
-    entry = run_lemma3_checks(k_values=(k,), n_max=n, j_max=j).entries[-1]
-    assert entry.check_id == f"lemma3/k={k}/n={n}/j={j}"
+    if k == 6:  # outside the suite's grid
+        return
+    entries = {e.check_id: e for e in run_lemma3_checks()}
+    entry = entries[f"lemma3/k={k}/n={n}/j={j}"]
     assert not entry.passed and entry.tolerance == 0.0
     assert entry.expected == str(perturbed) and entry.actual == str(closed)
 
@@ -170,6 +167,24 @@ def test_mc_crosschecks_pass_and_are_labeled():
         run_mc_crosschecks(9_999, seed=0)
 
 
+def test_mc_grid_rows_name_formulas_their_events_can_feed():
+    for check_id, n, event, formula in verify._MC_GRID:
+        if formula is not None:
+            assert formula in exact.FORMULAS, check_id
+            arg = exact.FORMULAS[formula].arg
+            assert arg is None or getattr(event, arg) is not None, check_id
+
+
+def test_mc_grid_row_appended_last_moves_no_other_entry(monkeypatch):
+    before = run_mc_crosschecks(10**4, seed=6)
+    row = ("mc/all/k=3/n=9", 9, EventSpec.all_k_subsets(3), "theorem1")
+    monkeypatch.setattr(verify, "_MC_GRID", [*verify._MC_GRID, row])
+    after = run_mc_crosschecks(10**4, seed=6)
+    assert ([(e.check_id, e.actual) for e in after][:-1]
+            == [(e.check_id, e.actual) for e in before])
+    assert after.entries[-1].check_id == row[0] and after.all_passed
+
+
 def test_mc_trial_budget_covers_the_whole_grid():
     # The grid's 34 runs draw 205 spacing values per trial between them, and
     # trials * 205 may reach DEFAULT_TRIAL_BUDGET = 10^9.
@@ -184,37 +199,8 @@ def test_mc_crosschecks_deterministic_given_seed():
     assert [(e.check_id, e.actual) for e in a] == [(e.check_id, e.actual) for e in b]
 
 
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: runs each task at once on a
-    short-lived thread of its own, one task at a time, and records the
-    workers asked for and the tasks submitted."""
-
-    def __init__(self, created, max_workers):
-        self.max_workers = max_workers
-        self.submitted = 0
-        created.append(self)
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        future = Future()
-
-        def run():
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join()
-        return future
-
-
 @pytest.mark.parametrize("workers", [1, 2, 8, MAX_WORKERS])
-def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
+def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, fake_pools, workers):
     """At w > 1 workers the suite's 34 estimates share threads = min(w, 34)
     threads: the calling thread runs estimates 0, threads, 2 * threads, ...
     and one pool of threads - 1 threads, the one scheduler's, runs the
@@ -232,9 +218,6 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
     reference = run_mc_crosschecks(70_000, seed=4)
     order = [config for config, _, _ in calls]
     calls.clear()
-    pools = []
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
-                        lambda max_workers: _InlinePool(pools, max_workers))
     report = run_mc_crosschecks(70_000, seed=4, workers=workers)
     assert [kw for _, kw, _ in calls] == [{"workers": 1}] * 34
     ran_on = {config: ident for config, _, ident in calls}
@@ -242,9 +225,9 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, workers):
     assert ([i for i, config in enumerate(order) if ran_on[config] == threading.get_ident()]
             == list(range(0, 34, threads)))
     if workers == 1:
-        assert pools == []
+        assert fake_pools == []
     else:
-        (pool,) = pools
+        (pool,) = fake_pools
         assert (pool.max_workers, pool.submitted) == (threads - 1, 34 - len(range(0, 34, threads)))
     assert ([(e.check_id, e.actual, e.passed) for e in report]
             == [(e.check_id, e.actual, e.passed) for e in reference])
