@@ -26,7 +26,6 @@ from typing import Any
 from . import exact, verify
 from .exact import CapExceededError
 from .montecarlo import (
-    DEFAULT_TRIAL_BUDGET,
     MAX_WORKERS,
     BudgetExceededError,
     SimulationConfig,
@@ -224,7 +223,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = SamplerModel(args.model)
     config = SimulationConfig(n=args.n, event=event, model=model, trials=args.trials,
                               seed=args.seed)
-    result = estimate(config, workers=args.workers, budget=args.budget)
+    result = estimate(config, workers=args.workers)
     rec = _record(
         "estimate", k=event.k, n=args.n, event=event.label(),
         value_decimal=f"{result.p_hat:.12g}",
@@ -286,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=SamplerModel.UNIFORM_BREAKS.value)
     p_sim.add_argument("--workers", type=int, default=1,
                        help=f"threads sharing the estimate's chunks (1..{MAX_WORKERS})")
-    p_sim.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", parents=[output], help="run cross-validation suites")

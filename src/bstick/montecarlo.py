@@ -43,7 +43,7 @@ from .sticks import (
 __all__ = [
     "GENERATOR_ID",
     "CHUNK_SIZE",
-    "DEFAULT_TRIAL_BUDGET",
+    "TRIAL_BUDGET",
     "MAX_N",
     "MAX_SEED",
     "MAX_WORKERS",
@@ -68,10 +68,10 @@ GENERATOR_ID = "philox4x64-10/key=(seed,chunk):v1"
 # sequence index and fits the generator key's second word.
 CHUNK_SIZE = 1 << 16
 
-# Guard on trials * n, the total spacing values a run would draw and test.
-# Memory is bounded separately: a chunk is worked in sub-blocks of about
-# BLOCK_VALUES spacing values (512 KiB of float64).
-DEFAULT_TRIAL_BUDGET = 10**9
+# Bound on trials * n, the total spacing values a run would draw and test,
+# checked before the first draw.  Memory is bounded separately: a chunk is
+# worked in sub-blocks of about BLOCK_VALUES spacing values (512 KiB of float64).
+TRIAL_BUDGET = 10**9
 
 # Spacing values per sub-block.  On a 2 vCPU Xeon (2 MiB L2 per core), two
 # sweeps at n = 5, 6, 8 and 20 found blocks of 2^15-2^17 values within 20% of
@@ -117,11 +117,12 @@ def check_workers(workers: int) -> None:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
 
 
-def check_budget(trials: int, n: int, budget: int) -> None:
-    """Reject trials * n above budget (BudgetExceededError)."""
-    if trials * n > budget:
+def check_budget(trials: int, n: int) -> None:
+    """Reject trials * n above TRIAL_BUDGET (BudgetExceededError)."""
+    if trials * n > TRIAL_BUDGET:
         raise BudgetExceededError(
-            f"trials*n = {trials} * {n} = {trials * n} exceeds budget {budget}")
+            f"trials*n = {trials} * {n} = {trials * n} exceeds the trial budget "
+            f"TRIAL_BUDGET = {TRIAL_BUDGET}")
 
 
 def run_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
@@ -158,7 +159,7 @@ def run_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
 
 
 class BudgetExceededError(Exception):
-    """trials * n exceeds the configured simulation budget."""
+    """trials * n exceeds the simulation budget TRIAL_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -247,18 +248,15 @@ def _chunk_successes(config: SimulationConfig, chunk_index: int) -> int:
     return successes
 
 
-def estimate(
-    config: SimulationConfig,
-    workers: int = 1,
-    budget: int = DEFAULT_TRIAL_BUDGET,
-) -> EstimateResult:
+def estimate(config: SimulationConfig, workers: int = 1) -> EstimateResult:
     """Run config.trials independent trials; return the estimate and its 95% interval.
 
+    trials * n above TRIAL_BUDGET raises BudgetExceededError before any draw.
     Chunks run through run_in_order on `workers` threads; per-chunk success
     counts are summed as integers, so the result does not depend on workers.
     """
     check_workers(workers)
-    check_budget(config.trials, config.n, budget)
+    check_budget(config.trials, config.n)
     chunks = range(_chunk_count(config.trials))
     successes = sum(run_in_order(partial(_chunk_successes, config), chunks, workers))
     low, high = wilson_interval(successes, config.trials)

@@ -12,10 +12,10 @@ Four suites (SUITES, in the order "all" runs them):
                 integrated exactly in rationals, against its exact closed
                 value (residual must be exactly 0);
 * mc         -- Monte Carlo estimates on one table in stream order, _MC_GRID,
-                whose rows name the exact.FORMULAS entry each is held to, or
-                none for a sampler pair (one event under both sampler models).
-                Its 34 estimates run whole, `workers` at a time, through
-                montecarlo.run_in_order; workers never changes a result.
+                whose rows name the sampler model and the exact.FORMULAS
+                entry each estimate is held to.  Its 30 estimates run whole,
+                `workers` at a time, through montecarlo.run_in_order;
+                workers never changes a result.
 
 Each suite returns a VerificationReport of VerificationEntry records, all
 built by _entry.  run_all is the one dispatcher: it checks the arguments of
@@ -37,7 +37,6 @@ from fractions import Fraction
 from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
 from .montecarlo import (
-    DEFAULT_TRIAL_BUDGET,
     MAX_SEED,
     EstimateResult,
     SimulationConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "lemma3_residual",
     "run_lemma3_checks",
     "check_mc_args",
-    "sampler_equivalence_test",
     "run_mc_crosschecks",
     "run_all",
 ]
@@ -316,32 +314,10 @@ def run_lemma3_checks() -> VerificationReport:
     return report
 
 
-def _mix64(seed: int) -> int:
-    """SplitMix64 finalizer; derives the second model's seed for equivalence runs."""
-    z = (seed + 0x9E3779B97F4A7C15) & MAX_SEED
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MAX_SEED
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MAX_SEED
-    return z ^ (z >> 31)
-
-
-def _sampler_pair(
-    n: int, event: EventSpec, trials: int, seed: int
-) -> tuple[SimulationConfig, SimulationConfig]:
-    """The uniform-breaks run at seed and the exponential run at _mix64(seed)."""
-    return (
-        SimulationConfig(n=n, event=event, model=SamplerModel.UNIFORM_BREAKS,
-                         trials=trials, seed=seed),
-        SimulationConfig(n=n, event=event, model=SamplerModel.EXPONENTIAL_NORMALIZED,
-                         trials=trials, seed=_mix64(seed)),
-    )
-
-
-def _timed_estimate(
-    config: SimulationConfig, workers: int = 1
-) -> tuple[EstimateResult, float]:
-    """estimate(config, workers=workers), and its wall time in seconds."""
+def _timed_estimate(config: SimulationConfig) -> tuple[EstimateResult, float]:
+    """estimate(config) on one thread, and its wall time in seconds."""
     t0 = time.perf_counter()
-    result = estimate(config, workers=workers)
+    result = estimate(config)
     return result, time.perf_counter() - t0
 
 
@@ -349,94 +325,56 @@ def _timed_estimate(
 # odds about 6e-7 per entry).
 _BAND_SE = 5.0
 
-
-def _pair_id(n: int, event: EventSpec) -> str:
-    return f"mc/sampler-equivalence/{event.label()}/n={n}"
-
-
-def _equivalence_entry(
-    check_id: str,
-    uniform: tuple[EstimateResult, float], exponential: tuple[EstimateResult, float],
-) -> VerificationEntry:
-    """The two models' estimates must agree within _BAND_SE combined binomial SEs."""
-    (res_a, seconds_a), (res_b, seconds_b) = uniform, exponential
-    return _entry(
-        check_id,
-        f"{res_a.p_hat:.12g}",
-        f"{res_b.p_hat:.12g}",
-        abs(res_a.p_hat - res_b.p_hat),
-        _BAND_SE * math.sqrt(res_a.std_error**2 + res_b.std_error**2),
-        seconds_a + seconds_b,
-    )
-
-
-def sampler_equivalence_test(
-    n: int, event: EventSpec, trials: int, seed: int, workers: int = 1
-) -> VerificationEntry:
-    """Estimate the same event under both sampler models and compare.
-
-    The models realize the same spacing distribution, so the two estimates
-    must agree within _BAND_SE combined binomial standard errors.  The uniform
-    run takes `seed` and the exponential run _mix64(seed); each shares its
-    chunks among `workers` threads.
-    """
-    uniform, exponential = (_timed_estimate(c, workers)
-                            for c in _sampler_pair(n, event, trials, seed))
-    return _equivalence_entry(_pair_id(n, event), uniform, exponential)
+_UNIFORM, _EXPONENTIAL = SamplerModel.UNIFORM_BREAKS, SamplerModel.EXPONENTIAL_NORMALIZED
 
 
 # The mc grid in stream order: row i takes seed + i.  A row (check id, n,
-# event, formula) holds the uniform sampler's estimate to FORMULAS[formula],
-# or is a sampler pair if formula is None.  New rows go last, so no seed moves.
+# event, formula, model) holds the model's estimate to FORMULAS[formula].  New
+# rows go last, so no seed moves.
 _MC_GRID = [
-    *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k), "theorem1")
+    *((f"mc/all/k={k}/n={n}", n, EventSpec.all_k_subsets(k), "theorem1", _UNIFORM)
       for n in range(3, 9) for k in range(3, n + 1)),
-    *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x), "whitworth")
+    *((f"mc/whitworth/n={n}/x={x}", n, EventSpec.max_spacing(x), "whitworth", _UNIFORM)
       for n, x in ((4, Fraction(1, 2)), (5, Fraction(1, 3)), (6, Fraction(1, 4)))),
-    *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3), "exists-triangle") for n in (4, 5)),
-    *((_pair_id(n, event), n, event, None) for n, event in (
-        (5, EventSpec.all_k_subsets(3)), (6, EventSpec.all_k_subsets(4)),
-        (7, EventSpec.all_k_subsets(5)), (6, EventSpec.max_spacing(Fraction(1, 2))))),
+    *((f"mc/exists/k=3/n={n}", n, EventSpec.exists_k(3), "exists-triangle", _UNIFORM)
+      for n in (4, 5)),
+    *((f"mc/all/k={k}/n={n}/model=exponential", n, EventSpec.all_k_subsets(k), "theorem1",
+       _EXPONENTIAL) for k, n in ((3, 5), (4, 6), (5, 7))),
+    ("mc/whitworth/n=6/x=1/2/model=exponential", 6, EventSpec.max_spacing(Fraction(1, 2)),
+     "whitworth", _EXPONENTIAL),
 ]
 
 
 def check_mc_args(trials: int, seed: int, workers: int) -> None:
     """Reject arguments of the mc suite before any suite runs.
 
-    The budget covers the whole grid: trials * n summed over its 34 runs (a
-    pair counts twice), that is trials * 205, above DEFAULT_TRIAL_BUDGET
-    raises BudgetExceededError (check_budget with n = 205).
+    The budget covers the whole grid: trials * n summed over its 30 runs,
+    that is trials * 181, above TRIAL_BUDGET raises BudgetExceededError
+    (check_budget with n = 181).
     """
     if trials < 10**4:
         raise ValueError("trials must be >= 10^4")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     check_workers(workers)
-    grid_n = sum(2 * n if formula is None else n for _, n, _, formula in _MC_GRID)
-    check_budget(trials, grid_n, DEFAULT_TRIAL_BUDGET)
+    check_budget(trials, sum(n for _, n, *_ in _MC_GRID))
 
 
 def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> VerificationReport:
     """One entry per row of _MC_GRID, whose row i runs at seed + i modulo 2^64.
 
-    A row with a formula holds the uniform sampler's estimate within _BAND_SE
-    binomial standard errors of the exact value, and a sampler pair holds the
-    two models' estimates within _BAND_SE combined ones.  The estimates run
-    whole, up to `workers` at a time, through run_in_order; each entry's
-    runtime_ms is the wall time of its own estimates.
+    Each entry holds the row model's estimate within _BAND_SE binomial
+    standard errors of the exact value.  The estimates run whole, up to
+    `workers` at a time, through run_in_order; each entry's runtime_ms is the
+    wall time of its own estimate.
     """
     check_mc_args(trials, seed, workers)
-    configs = []
-    for i, (_, n, event, formula) in enumerate(_MC_GRID):
-        pair = _sampler_pair(n, event, trials, (seed + i) & MAX_SEED)
-        configs.extend(pair if formula is None else pair[:1])
+    configs = [SimulationConfig(n=n, event=event, model=model, trials=trials,
+                                seed=(seed + i) & MAX_SEED)
+               for i, (_, n, event, _, model) in enumerate(_MC_GRID)]
     runs = run_in_order(_timed_estimate, configs, workers)
     report = VerificationReport()
-    for check_id, n, event, formula in _MC_GRID:
-        if formula is None:
-            report.add(_equivalence_entry(check_id, next(runs), next(runs)))
-            continue
-        res, seconds = next(runs)
+    for (check_id, n, event, formula, _), (res, seconds) in zip(_MC_GRID, runs):
         form = exact.FORMULAS[formula]
         exact_p = form.evaluate(n, getattr(event, form.arg) if form.arg else None)
         p = float(exact_p)

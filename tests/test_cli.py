@@ -263,11 +263,14 @@ def test_exact_cap_exit_code(capsys):
     ("exact", "--formula", "pnn", "--n", "3000000000"),
     ("exact", "--formula", "theorem1", "--k", "3", "--n", "20000"),
     ("table", "--k", "3", "--n", f"{exact.MAX_CAP + 1}"),
+    ("table", "--k", "400", "--n", f"{exact.MAX_CAP - 1}:{exact.MAX_CAP + 1}"),
 ])
 def test_cap_above_max_cap_exits_at_once(argv):
     """An n above exact.MAX_CAP exits 3 before any arithmetic, in a table
     before its first cell.  With no ceiling on n, the exact commands ran for
-    more than 10 s."""
+    more than 10 s.  The last table is 0.72x TABLE_WORK_BUDGET, and its two
+    cells below the cap took 1.75 s, so only a refusal before the first cell
+    meets the bound."""
     proc, elapsed = run_timed_subprocess(*argv)
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
     assert f"exceeds the limit MAX_CAP = {exact.MAX_CAP}" in proc.stderr
@@ -490,11 +493,13 @@ def test_simulate_two_pieces_always_exceed_small_threshold(capsys):
 
 
 def test_simulate_budget_exit_code(capsys):
-    code, _, err = run(
+    """trials * n above montecarlo.TRIAL_BUDGET = 10^9 exits 4 before any draw."""
+    code, out, err = run(
         capsys, "simulate", "--n", "5", "--event", "all", "--k", "3",
-        "--trials", "1000000", "--budget", "100000",
+        "--trials", "200000001",
     )
-    assert code == EXIT_BUDGET and "budget" in err
+    assert code == EXIT_BUDGET and out == ""
+    assert "200000001 * 5 = 1000000005 exceeds the trial budget TRIAL_BUDGET" in err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -595,7 +600,7 @@ def test_verify_mc_suite_small(capsys):
                                  (["--seed", "-1"], EXIT_USAGE),
                                  (["--n-max", "201"], EXIT_CAP),
                                  (["--n-max", "4"], EXIT_USAGE),
-                                 (["--trials", "4878049"], EXIT_BUDGET)])
+                                 (["--trials", "5524862"], EXIT_BUDGET)])
 def test_verify_rejects_bad_mc_arguments_before_any_suite(capsys, monkeypatch, bad):
     argv, expected_code = bad
     called = []

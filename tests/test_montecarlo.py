@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bstick
-from bstick import exact, montecarlo, sticks
+from bstick import exact, montecarlo, sticks, verify
 from bstick.cli import main
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
@@ -32,7 +32,7 @@ from bstick.montecarlo import (
     wilson_interval,
 )
 from bstick.sticks import EventSpec, SamplerModel, _subset_check_batch, sample_spacings_batch
-from bstick.verify import run_mc_crosschecks, sampler_equivalence_test
+from bstick.verify import run_mc_crosschecks
 
 
 def _config(**kw):
@@ -95,33 +95,43 @@ def test_simulation_config_validation():
 
 def test_chunk_size_and_interval_level_are_not_settings(capsys, monkeypatch):
     """An estimate is fixed by (seed, trials, n, event, model): the chunk size
-    is the constant CHUNK_SIZE, the interval is always the 95% one, the seed
-    comes from argv alone, the report goes to stdout alone, and the exact
-    names no caller used are gone."""
+    is the constant CHUNK_SIZE, the interval is always the 95% one, the trial
+    budget is the constant TRIAL_BUDGET, the seed comes from argv alone, the
+    report goes to stdout alone, and the names no caller needs are gone."""
     with pytest.raises(TypeError):
         _config(chunk_size=1000)
     with pytest.raises(TypeError):
         estimate(_config(trials=10), ci_level=0.9)
     with pytest.raises(TypeError):
+        estimate(_config(trials=10), budget=10**12)
+    with pytest.raises(TypeError):
         wilson_interval(3, 7, level=0.5)
     simulate = ["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"]
     assert main([*simulate, "--chunk-size", "1000"]) == 2
+    assert main([*simulate, "--budget", "5"]) == 2
     assert main(["verify", "--suite", "identities", "--out", "report.json"]) == 2
     capsys.readouterr()
     monkeypatch.setenv("BSTICK_SEED", "555")
     assert main(simulate) == 0
     assert json.loads(capsys.readouterr().out)[0]["seed"] == 0
-    for name in ("ProblemSpec", "joint_spacing_survivor"):
+    for module, name in ((exact, "ProblemSpec"), (exact, "joint_spacing_survivor"),
+                         (verify, "sampler_equivalence_test"),
+                         (montecarlo, "DEFAULT_TRIAL_BUDGET")):
         assert not hasattr(bstick, name) and name not in bstick.__all__
-        assert not hasattr(exact, name) and name not in exact.__all__
+        assert not hasattr(module, name) and name not in module.__all__
 
 
-def test_budget_guard():
-    cfg = _config(n=10, event=EventSpec.exists_k(3), trials=1_000_000)
-    with pytest.raises(BudgetExceededError):
-        estimate(cfg, budget=9_999_999)
+def test_budget_guard(monkeypatch):
+    """trials * n above TRIAL_BUDGET = 10^9 is refused before any draw."""
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_spacings_batch",
+                        lambda *a, **kw: drawn.append(a))
+    cfg = _config(n=10, event=EventSpec.exists_k(3), trials=100_000_001)
+    with pytest.raises(BudgetExceededError, match=r"100000001 \* 10 = 1000000010 exceeds"):
+        estimate(cfg)
     with pytest.raises(ValueError):
         estimate(cfg, workers=0)
+    assert drawn == []
 
 
 # ----------------------------------------------------------- determinism
@@ -274,13 +284,14 @@ def test_n_above_max_n_is_rejected_before_allocating():
 def test_trials_beyond_sys_maxsize_chunks_are_a_usage_error(capsys):
     """An estimate takes at most sys.maxsize chunks: every chunk index must be
     a sequence index and fit the key's second word.  Past that limit 10^24
-    trials under a raised budget ended in an OverflowError traceback."""
+    trials ended in an OverflowError traceback; SimulationConfig refuses them
+    before the trial budget is checked."""
     limit = CHUNK_SIZE * sys.maxsize
     assert _config(n=1, event=EventSpec.max_spacing("1/2"), trials=limit).trials == limit
     with pytest.raises(ValueError, match="trials must be at most CHUNK_SIZE"):
         _config(n=1, event=EventSpec.max_spacing("1/2"), trials=limit + 1)
     code = main(["simulate", "--n", "1", "--event", "max-spacing", "--x", "1/2",
-                 "--trials", str(10**24), "--budget", str(10**30)])
+                 "--trials", str(10**24)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     (line,) = captured.err.splitlines()
@@ -400,13 +411,6 @@ def test_interval_coverage_is_near_nominal():
         res = estimate(_config(trials=10_000, seed=seed))
         covered += res.ci_low <= 0.25 <= res.ci_high
     assert covered >= 0.88 * runs
-
-
-def test_sampler_equivalence_entry():
-    entry = sampler_equivalence_test(5, EventSpec.all_k_subsets(3), 200_000, seed=77)
-    assert entry.passed
-    assert entry.check_id == "mc/sampler-equivalence/all:k=3/n=5"
-    assert entry.residual <= entry.tolerance
 
 
 # ------------------------------------------------------------ stream freeze

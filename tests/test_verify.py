@@ -31,7 +31,6 @@ from bstick.verify import (
     run_lemma3_checks,
     run_all,
     run_mc_crosschecks,
-    sampler_equivalence_test,
 )
 
 F = Fraction
@@ -159,25 +158,57 @@ def test_mc_crosschecks_pass_and_are_labeled():
     assert "mc/all/k=3/n=3" in ids
     assert "mc/exists/k=3/n=5" in ids
     assert "mc/whitworth/n=4/x=1/2" in ids
-    assert "mc/sampler-equivalence/all:k=4/n=6" in ids
-    assert "mc/sampler-equivalence/max-spacing:x=1/2/n=6" in ids
-    # 21 grid points + 3 whitworth + 2 exists + 4 equivalence entries
+    assert "mc/all/k=4/n=6/model=exponential" in ids
+    assert "mc/whitworth/n=6/x=1/2/model=exponential" in ids
+    # 21 grid points + 3 whitworth + 2 exists, then 4 exponential-model entries
     assert len(report) == 30
+    for e in report:
+        assert Fraction(e.expected) > 0, e.check_id
     with pytest.raises(ValueError):
         run_mc_crosschecks(9_999, seed=0)
 
 
 def test_mc_grid_rows_name_formulas_their_events_can_feed():
-    for check_id, n, event, formula in verify._MC_GRID:
-        if formula is not None:
-            assert formula in exact.FORMULAS, check_id
-            arg = exact.FORMULAS[formula].arg
-            assert arg is None or getattr(event, arg) is not None, check_id
+    """Every row names an exact oracle and a sampler model."""
+    for check_id, n, event, formula, model in verify._MC_GRID:
+        assert formula in exact.FORMULAS, check_id
+        arg = exact.FORMULAS[formula].arg
+        assert arg is None or getattr(event, arg) is not None, check_id
+        assert isinstance(model, SamplerModel), check_id
+        assert check_id.endswith("/model=exponential") == (
+            model is SamplerModel.EXPONENTIAL_NORMALIZED), check_id
+
+
+def test_mc_estimates_of_a_biased_exponential_sampler_fail_against_exact_values(monkeypatch):
+    """A bias in the exponential sampler alone fails exactly the
+    exponential-model entries, each held to its exact value.  The planted
+    bias makes every 10th trial of each exponential sub-block an equal split,
+    which forms every k-gon and has max spacing 1/n: it moves each of those
+    probabilities by a tenth of its distance to 1 (all) or to 0 (whitworth),
+    15 to 235 binomial SE at 10^5 trials against a 5 SE band."""
+    real = montecarlo.sample_spacings_batch
+
+    def biased(n, model, rng, count, out=None):
+        spacings = real(n, model, rng, count, out=out)
+        if model is SamplerModel.EXPONENTIAL_NORMALIZED:
+            spacings[::10] = 1.0 / n
+        return spacings
+
+    monkeypatch.setattr(montecarlo, "sample_spacings_batch", biased)
+    report = run_mc_crosschecks(10**5, seed=1)
+    failed = {e.check_id: e.expected for e in report.failures()}
+    assert failed == {
+        "mc/all/k=3/n=5/model=exponential": "1/56",
+        "mc/all/k=4/n=6/model=exponential": "11/112",
+        "mc/all/k=5/n=7/model=exponential": "809/3328",
+        "mc/whitworth/n=6/x=1/2/model=exponential": "3/16",
+    }
 
 
 def test_mc_grid_row_appended_last_moves_no_other_entry(monkeypatch):
     before = run_mc_crosschecks(10**4, seed=6)
-    row = ("mc/all/k=3/n=9", 9, EventSpec.all_k_subsets(3), "theorem1")
+    row = ("mc/all/k=3/n=9", 9, EventSpec.all_k_subsets(3), "theorem1",
+           SamplerModel.UNIFORM_BREAKS)
     monkeypatch.setattr(verify, "_MC_GRID", [*verify._MC_GRID, row])
     after = run_mc_crosschecks(10**4, seed=6)
     assert ([(e.check_id, e.actual) for e in after][:-1]
@@ -186,11 +217,11 @@ def test_mc_grid_row_appended_last_moves_no_other_entry(monkeypatch):
 
 
 def test_mc_trial_budget_covers_the_whole_grid():
-    # The grid's 34 runs draw 205 spacing values per trial between them, and
-    # trials * 205 may reach DEFAULT_TRIAL_BUDGET = 10^9.
-    check_mc_args(4_878_048, seed=0, workers=1)
-    with pytest.raises(BudgetExceededError, match=r"4878049 \* 205 = 1000000045"):
-        check_mc_args(4_878_049, seed=0, workers=1)
+    # The grid's 30 runs draw 181 spacing values per trial between them, and
+    # trials * 181 may reach TRIAL_BUDGET = 10^9.
+    check_mc_args(5_524_861, seed=0, workers=1)
+    with pytest.raises(BudgetExceededError, match=r"5524862 \* 181 = 1000000022"):
+        check_mc_args(5_524_862, seed=0, workers=1)
 
 
 def test_mc_crosschecks_deterministic_given_seed():
@@ -201,10 +232,11 @@ def test_mc_crosschecks_deterministic_given_seed():
 
 @pytest.mark.parametrize("workers", [1, 2, 8, MAX_WORKERS])
 def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, fake_pools, workers):
-    """At w > 1 workers the suite's 34 estimates share threads = min(w, 34)
+    """At w > 1 workers the suite's 30 estimates share threads = min(w, 30)
     threads: the calling thread runs estimates 0, threads, 2 * threads, ...
     and one pool of threads - 1 threads, the one scheduler's, runs the
-    others.  Each estimate runs whole; at w = 1 no pool is made.  Each
+    others.  Each estimate runs whole, on estimate's default one worker; at
+    w = 1 no pool is made.  Each
     estimate here spans two chunks, so one started with workers > 1 would
     make a second pool.  The report is the one-worker report, in order."""
     calls = []
@@ -219,16 +251,16 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, fake_pools
     order = [config for config, _, _ in calls]
     calls.clear()
     report = run_mc_crosschecks(70_000, seed=4, workers=workers)
-    assert [kw for _, kw, _ in calls] == [{"workers": 1}] * 34
+    assert [kw for _, kw, _ in calls] == [{}] * 30
     ran_on = {config: ident for config, _, ident in calls}
-    threads = min(workers, 34)
+    threads = min(workers, 30)
     assert ([i for i, config in enumerate(order) if ran_on[config] == threading.get_ident()]
-            == list(range(0, 34, threads)))
+            == list(range(0, 30, threads)))
     if workers == 1:
         assert fake_pools == []
     else:
         (pool,) = fake_pools
-        assert (pool.max_workers, pool.submitted) == (threads - 1, 34 - len(range(0, 34, threads)))
+        assert (pool.max_workers, pool.submitted) == (threads - 1, 30 - len(range(0, 30, threads)))
     assert ([(e.check_id, e.actual, e.passed) for e in report]
             == [(e.check_id, e.actual, e.passed) for e in reference])
 
@@ -253,7 +285,7 @@ def test_mc_suite_cancels_queued_estimates_when_one_raises(monkeypatch, workers)
             released.set()
             super().shutdown(wait=wait)
 
-    def fake_estimate(config, workers):
+    def fake_estimate(config):
         index = config.seed  # the suite runs at seed 0
         started.append(index)
         if index == failing:
@@ -270,17 +302,6 @@ def test_mc_suite_cancels_queued_estimates_when_one_raises(monkeypatch, workers)
     assert set(range(failing + 1)) <= set(started)
     assert max(started) <= failing + workers
 
-
-def test_sampler_equivalence_test_shares_each_estimates_chunks(monkeypatch):
-    """Each of the two models' estimates gets all the workers, one after the other."""
-    calls = []
-    real_estimate = verify.estimate
-    monkeypatch.setattr(verify, "estimate", lambda config, workers: calls.append(
-        (config.model, workers)) or real_estimate(config, workers=workers))
-    entry = sampler_equivalence_test(5, EventSpec.all_k_subsets(3), 10**4, seed=1, workers=3)
-    assert calls == [(SamplerModel.UNIFORM_BREAKS, 3),
-                     (SamplerModel.EXPONENTIAL_NORMALIZED, 3)]
-    assert entry.passed
 
 def test_run_all_runs_the_four_suites_in_order():
     expected = [
