@@ -3,14 +3,14 @@
 A stick of unit length broken at n-1 uniform points yields n spacings.  The
 same spacing distribution arises from n unit-mean exponentials normalized by
 their sum, which is the second sampler offered here; the Monte Carlo engine
-estimates under either model and the verification suite checks they agree.
+estimates under either model and the verification suite holds each model's
+estimates to the exact values.
 
 Up to NETWORK_MAX_N values per trial, batches are worked as contiguous
 columns (one spacing index of every trial): the sampler writes each column of
-an F-ordered result contiguously, the breaks are sorted by a comparator
-network of whole-column np.minimum/np.maximum steps, and the 'all' predicate
-runs that network pruned to the k-1 smallest and the largest outputs.  Every
-value is bit for bit that of the row-major computation.
+an F-ordered result contiguously, and the breaks and the spacings are
+sorted by a comparator network of whole-column np.minimum/np.maximum steps.
+Every value is bit for bit that of the row-major computation.
 
 Polygon inequalities are non-strict: a set of lengths forms a k-gon iff its
 maximum is <= the sum of the others, so degenerate (zero-area) polygons count
@@ -323,85 +323,46 @@ def _network(m: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
-def _selection_steps(m: int, smallest: int) -> tuple[tuple[np.ufunc, int, int, int], ...]:
-    """_network(m), pruned to sorted positions 0..smallest-1 and m-1, as steps
-    over buffers.
+def _sort_steps(m: int) -> tuple[tuple[np.ufunc, int, int, int], ...]:
+    """_network(m) as steps over buffers.
 
     A step (f, a, b, out) runs f(buffers[a], buffers[b], out=buffers[out]).
     Buffers 0..m-1 are the input columns, only read; buffers m..2m are the m+1
-    rows of the work array.  Comparators whose outputs feed no needed position
-    are dropped, and one whose min (or max) alone is needed becomes a single
-    np.minimum (or np.maximum).  The work rows are numbered so that sorted
-    position i ends in work row i for every needed i.
+    rows of the work array.  Each comparator writes its min into a free work
+    row and its max over the work row of its high input, or else of its low
+    one, where either has one; so m positions never hold more than m work
+    rows and one is always free.  The work rows are numbered so that sorted
+    position i ends in work row i and the free one is last.
     """
-    needed = set(range(min(smallest, m))) | ({m - 1} if m else set())
-    # Backward pass: keep the comparators some needed output depends on,
-    # with the positions still read after each one.
-    comparators = []
-    live = set(needed)
-    for lo, hi in reversed(_network(m)):
-        outputs = (lo in live, hi in live)
-        if any(outputs):
-            comparators.append((lo, hi, *outputs, frozenset(live)))
-            live |= {lo, hi}
-    comparators.reverse()
-
-    # Forward pass: give every output a work row, never overwriting an input
-    # or a value still to be read.
     loc = list(range(m))
     free = list(range(2 * m, m - 1, -1))
     steps = []
-
-    def row_for(*candidates):
-        for c in candidates:
-            if c >= m:
-                return c
-        return free.pop()
-
-    for lo, hi, need_min, need_max, live_after in comparators:
+    for lo, hi in _network(m):
         a, b = loc[lo], loc[hi]
-        if need_min and need_max:
-            t = free.pop()
-            u = row_for(b, a)
-            steps += [(np.minimum, a, b, t), (np.maximum, a, b, u)]
-            loc[lo], loc[hi] = t, u
-        elif need_min:
-            loc[lo] = row_for(a, b)
-            steps.append((np.minimum, a, b, loc[lo]))
-        else:
-            loc[hi] = row_for(b, a)
-            steps.append((np.maximum, a, b, loc[hi]))
-        for pos in (lo, hi):
-            if pos not in live_after:
-                loc[pos] = None
-        for row in {a, b} - set(loc):
-            if row >= m:
-                free.append(row)
-    for pos in needed:
-        if loc[pos] < m:  # never compared (m = 1): min(x, x) copies it
-            loc[pos] = free.pop()
-            steps.append((np.minimum, pos, pos, loc[pos]))
+        loc[lo] = free.pop()
+        loc[hi] = b if b >= m else a if a >= m else free.pop()
+        steps += [(np.minimum, a, b, loc[lo]), (np.maximum, a, b, loc[hi])]
+        if a >= m and a != loc[hi]:
+            free.append(a)
+    if m == 1:  # never compared: min(x, x) copies it
+        loc[0] = free.pop()
+        steps.append((np.minimum, 0, 0, loc[0]))
 
-    # Renumber the work rows so that needed position i ends in row m + i.
-    rename = {loc[pos]: m + pos for pos in needed}
-    work_rows = set(range(m, 2 * m + 1))
-    rename.update(zip(sorted(work_rows - rename.keys()),
-                      sorted(work_rows - set(rename.values()))))
-    return tuple(
-        (f, rename.get(a, a), rename.get(b, b), rename[out]) for f, a, b, out in steps
-    )
+    (spare,) = free
+    rename = {row: m + pos for pos, row in enumerate(loc)} | {spare: 2 * m}
+    return tuple((f, rename.get(a, a), rename.get(b, b), rename[out]) for f, a, b, out in steps)
 
 
-def _sorted_columns(rows: np.ndarray, smallest: int | None = None) -> np.ndarray:
-    """Sort each row of a (count, m) array; return the (m, count) transpose.
+def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+    """Sort each row of a (count, m) array; return the (m, count) transpose,
+    every row of which is sorted.
 
     Up to NETWORK_MAX_N values per row, rows.T is sorted by a fixed comparator
     network whose every step is an np.minimum/np.maximum over two whole
     columns.  The first comparator to touch a column reads it from rows.T
     (contiguous when rows is F-ordered) and writes into the work array, so the
-    input is never copied or modified.  With ``smallest`` = j the network is
-    pruned to positions 0..j-1 and m-1, and only those rows hold sorted
-    values.  Wider rows are sorted row-major like np.sort and returned as a
+    input is never copied or modified; the work array's last row is left
+    spare.  Wider rows are sorted row-major like np.sort and returned as a
     transposed view.  Sorting only permutes values, so both give the bits of
     np.sort(rows, axis=1).  The result is a view of one of the thread's
     scratch arrays ("columns" or "sorted").
@@ -414,7 +375,7 @@ def _sorted_columns(rows: np.ndarray, smallest: int | None = None) -> np.ndarray
         return srt.T
     work = scratch_array("columns", (m + 1, count))
     buffers = [*rows.T, *work]
-    for f, a, b, out in _selection_steps(m, m if smallest is None else smallest):
+    for f, a, b, out in _sort_steps(m):
         f(buffers[a], buffers[b], out=buffers[out])
     return work[:m]
 
@@ -462,11 +423,11 @@ def _polygon_indicator(kind: EventKind, spacings: np.ndarray, k: int) -> np.ndar
     """The all/exists k-gon indicator of each row of a (count, n) spacing array,
     as a new bool array.
 
-    Works on the sorted columns.  'all' tests the largest spacing against the
-    sum of the k-1 smallest, which are all the network pruned to those outputs
-    computes; up to NETWORK_MAX_N values the sum goes into the spare last row
-    of the "columns" work array.  'exists' sorts fully and tests each window
-    of k consecutive sorted spacings: the top of window j, srt[j+k-1], against
+    Sorts the columns once; every row of the result is sorted.  'all' tests
+    the largest spacing against the sum of the k-1 smallest; up to
+    NETWORK_MAX_N values the sum goes into the spare last row of the
+    "columns" work array.  'exists' tests each window of k consecutive
+    sorted spacings: the top of window j, srt[j+k-1], against
     csum[j+k-1] - csum[j], where csum[i] is the running sum of the i smallest.
     Up to NETWORK_MAX_N values the running sums live in a ring of k rows,
     csum[i] in row i % k: window j writes its sum into csum[j]'s row, tests
@@ -474,11 +435,10 @@ def _polygon_indicator(kind: EventKind, spacings: np.ndarray, k: int) -> np.ndar
     every window at once.
     """
     count, n = spacings.shape
+    srt = _sorted_columns(spacings)
     if kind is EventKind.ALL_K_SUBSETS:
-        srt = _sorted_columns(spacings, k - 1)
         spare = scratch_array("columns", (n + 1, count))[n] if n <= NETWORK_MAX_N else None
         return srt[-1] <= _row_sums(srt[: k - 1], out=spare)
-    srt = _sorted_columns(spacings)
     windows = n - k + 1
     if n > NETWORK_MAX_N:
         csum = scratch_array("csum", (n + 1, count))

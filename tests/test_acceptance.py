@@ -133,7 +133,7 @@ def test_08_monte_carlo_vs_general_formula(capfd):
              time.perf_counter() - t0, 180.0)
 
 
-def test_09_sampler_equivalence(capfd):
+def test_09_each_sampler_model_against_exact_values(capfd):
     """Each sampler model's estimate is held to the exact value on its own, so
     a bias that both models shared would fail here too."""
     t0 = time.perf_counter()

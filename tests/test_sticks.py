@@ -1,7 +1,6 @@
 """Samplers and event predicates, checked against hand-built vectors and the oracle."""
 
 import threading
-import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import ulp
@@ -20,7 +19,7 @@ from bstick.sticks import (
     SamplerModel,
     _network,
     _row_sums,
-    _selection_steps,
+    _sort_steps,
     _sorted_columns,
     _subset_check_batch,
     all_k_subsets_polygon,
@@ -332,30 +331,17 @@ def test_windowed_exists_matches_oracle_for_k3_wide():
             assert exists_k_polygon_windowed(row, 3) == chk.some_subset
 
 
-def test_windowed_exists_k4_and_up_logged_against_oracle():
+def test_windowed_exists_matches_oracle_for_k4_and_up():
     """The windowed scan is the existence event for every k (see
     exists_k_polygon_windowed): if a k-subset whose largest piece sits at
-    sorted position i forms a k-gon, so do the k-1 pieces just below i.  For
-    k >= 4 any disagreement with the oracle, which could only come from sums
-    rounded in a different order at the boundary, is reported as a warning
-    with the offending vector.  A window is itself a subset, so the windowed
-    predicate can never claim a polygon the oracle rejects; that direction is
-    a hard failure."""
+    sorted position i forms a k-gon, so do the k-1 pieces just below i."""
     rng = np.random.default_rng(23)
-    disagreements = []
     for n in range(4, 11):
         rows = _random_spacings(rng, n, 500)
         for k in range(4, n + 1):
             windowed = np.array([exists_k_polygon_windowed(r, k) for r in rows])
             oracle = np.array([subset_polygon_oracle(r, k).some_subset for r in rows])
-            for i in np.nonzero(windowed != oracle)[0]:
-                disagreements.append((k, n, bool(windowed[i]), rows[i]))
-    for k, n, claimed, row in disagreements:
-        warnings.warn(
-            f"windowed existence disagrees with the subset oracle at k={k}, "
-            f"n={n} (windowed={claimed}); spacings={row.tolist()}"
-        )
-        assert not claimed, "windowed scan claimed a polygon the oracle rejects"
+            np.testing.assert_array_equal(windowed, oracle, err_msg=f"k={k}, n={n}")
 
 
 def test_oracle_spec_vectors():
@@ -420,7 +406,7 @@ def test_event_indicator_batch_matches_scalar_predicates():
         np.testing.assert_array_equal(hits, expected)
 
 
-def test_event_indicator_batch_oracle_mode():
+def test_event_indicator_batch_equals_oracle_rows():
     """The batch indicator equals the brute-force oracle row by row; the
     oracle refuses n above ORACLE_MAX_N."""
     rng = np.random.default_rng(4)
@@ -504,20 +490,18 @@ def test_network_sorts_every_zero_one_input(m):
 
 
 @pytest.mark.parametrize("m", range(1, NETWORK_MAX_N + 1))
-def test_pruned_networks_select_every_zero_one_input(m):
-    """The network pruned to the j smallest and the largest gives those order
-    statistics exactly on all 2^m zero-one inputs, for every j the 'all'
-    predicate uses (j = k-1 in 2..m-1), and so on every input (0-1 principle).
-    Both input layouts are checked: columns read in place or through strides."""
+def test_sorted_columns_sorts_every_zero_one_input(m):
+    """The compiled network sorts all 2^m zero-one inputs bit for bit as
+    np.sort does, and so every input (0-1 principle), without touching its
+    input.  Both input layouts are checked: columns read in place or through
+    strides."""
     rows = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
     expected = np.sort(rows, axis=1).T
-    for j in range(2, m):
-        needed = [*range(j), m - 1]
-        assert len(_selection_steps(m, j)) <= 2 * len(_network(m))
-        for layout in (rows, np.asfortranarray(rows)):
-            assert _same_bits(_sorted_columns(layout, j)[needed], expected[needed])
-    if m >= 4:
-        assert len(_selection_steps(m, 2)) < 2 * len(_network(m))
+    assert len(_sort_steps(m)) <= 2 * len(_network(m)) + 1
+    for layout in (np.asfortranarray(rows), rows):
+        before = layout.copy()
+        assert _same_bits(_sorted_columns(layout), expected)
+        assert _same_bits(layout, before), "input must not be modified"
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, NETWORK_MAX_N, NETWORK_MAX_N + 1, 24, 50, 200])
