@@ -2,7 +2,7 @@
 
 Output goes to stdout as JSON (a single top-level array of records) or CSV
 with a fixed header; diagnostics go to stderr.  Identical argv give
-byte-identical output except the timestamp field.
+byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 an exact-
 arithmetic bound exceeded (refused before the work starts), 4 simulation
@@ -18,7 +18,6 @@ import csv
 import json
 import sys
 from dataclasses import asdict, fields
-from datetime import datetime, timezone
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
@@ -46,13 +45,9 @@ EXIT_INTERRUPTED = 130
 
 RECORD_FIELDS = [
     "kind", "k", "n", "event", "value_exact", "value_decimal",
-    "ci_low", "ci_high", "trials", "seed", "generator_id", "timestamp",
+    "ci_low", "ci_high", "trials", "seed", "generator_id",
 ]
 REPORT_FIELDS = [f.name for f in fields(verify.VerificationEntry)]
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def fraction_texts(f: Fraction) -> tuple[str, str]:
@@ -108,7 +103,7 @@ def _record(kind: str, value_exact: Fraction | None = None, **values: Any) -> di
     """A record keyed by RECORD_FIELDS in order, absent fields None; an exact
     value fills both value_exact and value_decimal."""
     rec = dict.fromkeys(RECORD_FIELDS)
-    rec.update(values, kind=kind, timestamp=_timestamp())
+    rec.update(values, kind=kind)
     if value_exact is not None:
         rec["value_exact"], rec["value_decimal"] = fraction_texts(value_exact)
     return rec

@@ -7,6 +7,13 @@ draws (see SamplerModel.draws_per_trial), so the indicator stream is a pure
 function of (seed, chunk index, offset within chunk) and (seed, trials, n,
 event, model) fix an estimate bitwise however run_in_order spreads chunks.
 
+Across machines (numpy 2.4.6) the contract depends on the model.  The uniform
+model's spacings use only exactly rounded operations (sort, subtract, min,
+max), so they are the same bits on any IEEE-754 machine with this Philox, and
+so are its counts.  The exponential model's log1p kernel is picked by CPU at
+run time, so its spacings may differ in the last bit between CPU families; its
+counts are the same except for trials within an ulp of the event's boundary.
+
 Within a chunk, trials are drawn and tested in consecutive sub-blocks of about
 BLOCK_VALUES spacing values (at least one trial), which bounds a chunk's
 memory (n is capped at MAX_N, so a sub-block holds at most MAX_N values).  The

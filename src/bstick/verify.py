@@ -38,7 +38,6 @@ from . import exact
 from .kernel import beta_int, binomial, fibonacci, pochhammer
 from .montecarlo import (
     MAX_SEED,
-    EstimateResult,
     SimulationConfig,
     check_budget,
     check_workers,
@@ -78,7 +77,6 @@ class VerificationEntry:
     residual: float
     tolerance: float
     passed: bool
-    runtime_ms: int
 
 
 @dataclass(frozen=True)
@@ -127,12 +125,9 @@ class VerificationReport:
 
 def _entry(
     check_id: str, expected: object, actual: object, residual: float, tolerance: float,
-    seconds: float, passed: bool | None = None,
+    passed: bool | None = None,
 ) -> VerificationEntry:
-    """The one builder of entries; passes iff residual <= tolerance unless told.
-
-    `seconds` is the wall time of the check's own work, kept as runtime_ms.
-    """
+    """The one builder of entries; passes iff residual <= tolerance unless told."""
     return VerificationEntry(
         check_id=check_id,
         expected=str(expected),
@@ -140,17 +135,14 @@ def _entry(
         residual=residual,
         tolerance=tolerance,
         passed=residual <= tolerance if passed is None else passed,
-        runtime_ms=int(seconds * 1000),
     )
 
 
-def _exact_entry(
-    check_id: str, expected: Fraction, actual: Fraction, seconds: float
-) -> VerificationEntry:
+def _exact_entry(check_id: str, expected: Fraction, actual: Fraction) -> VerificationEntry:
     # Equality decides: a nonzero difference can round to a residual of 0.0.
     equal = expected == actual
     residual = 0.0 if equal else float(abs(expected - actual))
-    return _entry(check_id, expected, actual, residual, 0.0, seconds, passed=equal)
+    return _entry(check_id, expected, actual, residual, 0.0, passed=equal)
 
 
 # The largest --n-max: the exact suite took 0.91 s at 200 and grows about as
@@ -180,23 +172,19 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
     check_exact_args(n_max)
     report = VerificationReport()
     for n in range(2, n_max + 1):
-        t0 = time.perf_counter()
         report.add(_exact_entry(
             f"exact/whitworth-half/n={n:02d}",
             Fraction(n, 2 ** (n - 1)),
             exact.whitworth_survivor(n, Fraction(1, 2)),
-            time.perf_counter() - t0,
         ))
     for n in range(3, n_max + 1):
         for formula in exact.FORMULAS.values():
             if formula.check is None or formula.k_of_n(n) > n:
                 continue
-            t0 = time.perf_counter()
             report.add(_exact_entry(
                 f"exact/{formula.check}/n={n:02d}",
                 formula.evaluate(n, None),
                 exact.prob_all_kgon(formula.k_of_n(n), n),
-                time.perf_counter() - t0,
             ))
     return report
 
@@ -231,19 +219,16 @@ def run_identity_selftests() -> VerificationReport:
     """Exact identity checks: the alternating factorial sum and kernel recurrences."""
     report = VerificationReport()
     for k in range(4, 21):
-        t0 = time.perf_counter()
         ok = exact.alternating_factorial_identity(k)
         report.add(_entry(f"identity/alt-factorial/k={k:02d}",
                           Fraction(1, math.factorial(k - 2)),
-                          "equal" if ok else "mismatch", 0.0 if ok else 1.0, 0.0,
-                          time.perf_counter() - t0))
+                          "equal" if ok else "mismatch", 0.0 if ok else 1.0, 0.0))
     for name, (cases, identity) in _RECURRENCES.items():
-        t0 = time.perf_counter()
         failures = len(cases) - sum(itertools.starmap(identity, cases))
         report.add(_entry(f"identity/{name}",
                           f"0 failures in {len(cases)} cases",
                           f"{failures} failures in {len(cases)} cases",
-                          float(failures), 0.0, time.perf_counter() - t0))
+                          float(failures), 0.0))
     return report
 
 
@@ -306,19 +291,10 @@ def run_lemma3_checks() -> VerificationReport:
     """
     report = VerificationReport()
     for k, n, j in _LEMMA3_GRID:
-        t0 = time.perf_counter()
         closed = lemma3_closed_value(k, n, j)
         integral = closed + lemma3_residual(k, n, j)
-        report.add(_exact_entry(f"lemma3/k={k}/n={n}/j={j}", closed, integral,
-                                time.perf_counter() - t0))
+        report.add(_exact_entry(f"lemma3/k={k}/n={n}/j={j}", closed, integral))
     return report
-
-
-def _timed_estimate(config: SimulationConfig) -> tuple[EstimateResult, float]:
-    """estimate(config) on one thread, and its wall time in seconds."""
-    t0 = time.perf_counter()
-    result = estimate(config)
-    return result, time.perf_counter() - t0
 
 
 # The pass band of every mc entry, in binomial standard errors (false-failure
@@ -364,22 +340,23 @@ def run_mc_crosschecks(trials: int, seed: int, workers: int = 1) -> Verification
     """One entry per row of _MC_GRID, whose row i runs at seed + i modulo 2^64.
 
     Each entry holds the row model's estimate within _BAND_SE binomial
-    standard errors of the exact value.  The estimates run whole, up to
-    `workers` at a time, through run_in_order; each entry's runtime_ms is the
-    wall time of its own estimate.
+    standard errors of the exact value.  The estimates run whole, one thread
+    each and up to `workers` at a time, through run_in_order, which gets this
+    module's estimate as bound when the suite runs, so a rebinding (the
+    benchmark's tracer, a test) sees every estimate.
     """
     check_mc_args(trials, seed, workers)
     configs = [SimulationConfig(n=n, event=event, model=model, trials=trials,
                                 seed=(seed + i) & MAX_SEED)
                for i, (_, n, event, _, model) in enumerate(_MC_GRID)]
-    runs = run_in_order(_timed_estimate, configs, workers)
+    runs = run_in_order(estimate, configs, workers)
     report = VerificationReport()
-    for (check_id, n, event, formula, _), (res, seconds) in zip(_MC_GRID, runs):
+    for (check_id, n, event, formula, _), res in zip(_MC_GRID, runs):
         form = exact.FORMULAS[formula]
         exact_p = form.evaluate(n, getattr(event, form.arg) if form.arg else None)
         p = float(exact_p)
         report.add(_entry(check_id, exact_p, f"{res.p_hat:.12g}", abs(res.p_hat - p),
-                          _BAND_SE * math.sqrt(p * (1.0 - p) / trials), seconds))
+                          _BAND_SE * math.sqrt(p * (1.0 - p) / trials)))
     return report
 
 

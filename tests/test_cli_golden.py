@@ -1,4 +1,4 @@
-"""CLI output pinned byte for byte, apart from the timestamp and runtime fields.
+"""CLI output pinned byte for byte.
 
 The files under tests/data/ were written by the CLI before the closed forms
 moved into one registry (exact.FORMULAS); the verify-mc and simulate files
@@ -6,15 +6,15 @@ before verify got its one suite runner.  The Monte Carlo outputs are pinned
 too: their streams are bit-identical by contract.  The lemma3 file is pinned
 since its iterated integral became an exact rational, so its entries no longer
 depend on the floating-point build or the CPU.
-Regenerate a file with
-``python -m bstick.cli ARGS --format FMT > tests/data/NAME.FMT`` only when a
-change to the output is intended.
+Output depends on argv alone, so
+``python -m bstick.cli ARGS --format FMT > tests/data/NAME.FMT`` reproduces
+every file exactly; regenerate one only when a change to the output is
+intended.  tests/data/ holds exactly one file per name in COMMANDS and format.
 """
 
 import csv
 import io
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -42,35 +42,19 @@ COMMANDS = {
                              "--model", "exponential", "--trials", "100000", "--seed", "7"],
 }
 
-MASKED = ("timestamp", "runtime_ms")
-
-
-def _mask(text: str, fmt: str) -> str:
-    """Replace the values of the MASKED fields, which differ from run to run."""
-    if fmt == "json":
-        return re.sub(r'("(?:timestamp|runtime_ms)": )("[^"]*"|\d+)', r"\1*", text)
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    masked = [i for i, name in enumerate(header) if name in MASKED]
-    # No masked column is followed by a field that could hold a comma.
-    assert masked == [len(header) - 1]
-    return "\n".join([lines[0]] + [re.sub(r",[^,]*$", ",*", line) if line else line
-                                   for line in lines[1:]])
-
-
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden(name, fmt, capsys):
     assert main(COMMANDS[name] + ["--format", fmt]) == 0
     out = capsys.readouterr().out
     golden = (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
-    assert _mask(out, fmt) == _mask(golden, fmt)
+    assert out == golden
 
 
 def _rows(text: str, fmt: str) -> list[tuple]:
-    """A report's entries as (field, value) tuples, the MASKED fields left out."""
+    """A report's entries as (field, value) tuples."""
     entries = json.loads(text) if fmt == "json" else csv.DictReader(io.StringIO(text))
-    return [tuple((k, v) for k, v in e.items() if k not in MASKED) for e in entries]
+    return [tuple(e.items()) for e in entries]
 
 
 def _above_n_max(row: tuple, n_max: int) -> bool:
@@ -99,13 +83,12 @@ def test_verify_output_does_not_depend_on_workers(fmt, capsys):
     assert sorted(_rows(reference, fmt)) == pinned
     for workers in (["--workers", "1"], ["--workers", "2"], ["--workers", "8"], []):
         for name in ("verify-lemma3", "verify-mc"):
-            assert _mask(output(COMMANDS[name] + workers), fmt) == _mask(golden[name], fmt)
-        assert _mask(output(verify_all + workers), fmt) == _mask(reference, fmt)
+            assert output(COMMANDS[name] + workers) == golden[name]
+        assert output(verify_all + workers) == reference
 
 
-def test_mask_hides_only_the_masked_fields():
-    golden = (DATA / "exact-whitworth.json").read_text(encoding="utf-8")
-    assert _mask(golden, "json") == _mask(golden.replace("2026", "1999"), "json")
-    assert _mask(golden, "json") != _mask(golden.replace("28/81", "28/82"), "json")
-    golden = (DATA / "verify-exact.csv").read_text(encoding="utf-8")
-    assert _mask(golden, "csv") != _mask(golden.replace("True", "False", 1), "csv")
+def test_golden_files_are_exactly_the_pinned_commands():
+    """No golden file is orphaned and none is missing: one per COMMANDS name
+    and format."""
+    pinned = {f"{name}.{fmt}" for name in COMMANDS for fmt in ("json", "csv")}
+    assert {p.name for p in DATA.iterdir()} == pinned

@@ -1,6 +1,10 @@
 """Estimator reproducibility, Wilson intervals, and agreement with exact values."""
 
 import json
+import os
+import pickle
+import platform
+import subprocess
 import sys
 import threading
 import time
@@ -8,6 +12,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -501,6 +506,57 @@ def test_success_counts_are_frozen(monkeypatch, n, model, label, frozen):
                                trials=trials, seed=seed)
         counts.append(estimate(cfg).successes)
     assert tuple(counts) == frozen
+
+
+# Runs the pickled (chunk_size, config) pairs on stdin and prints their success
+# counts, the sha256 of the uniform sampler's spacings at n = 5, seed 17 over
+# one chunk, and the numpy kernel that runs float64 log1p (None if unknown).
+_PORTABLE_CHILD = r"""
+import hashlib, json, pickle, sys
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from bstick import montecarlo
+from bstick.sticks import SamplerModel, sample_spacings_batch
+counts = []
+for chunk_size, cfg in pickle.load(sys.stdin.buffer):
+    montecarlo.CHUNK_SIZE = chunk_size
+    counts.append(montecarlo.estimate(cfg).successes)
+rng = np.random.Generator(np.random.Philox(key=montecarlo._philox_key(17, 0)))
+spacings = sample_spacings_batch(5, SamplerModel.UNIFORM_BREAKS, rng, 2**16)
+info = getattr(umath, "__cpu_targets_info__", {}).get("log1p", {}).get("dd", {})
+print(json.dumps({"counts": counts, "uniform": hashlib.sha256(spacings.tobytes()).hexdigest(),
+                  "log1p": info.get("current")}))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="switches off x86 SIMD kernels")
+def test_counts_and_uniform_spacings_hold_without_simd_dispatch():
+    """The cross-CPU contract: with every numpy kernel above its baseline
+    switched off (on an AVX-512 host that moves log1p, so exponential
+    spacings move in their last bits), the frozen counts at n = 5 and 8 and
+    the uniform spacing bits are those of the default kernels."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    rows = [row for row in _FROZEN_SUCCESSES if row[0] in (5, 8)]
+    runs = pickle.dumps([
+        (chunk_size, SimulationConfig(n=n, event=_event_from_label(label),
+                                      model=SamplerModel(model), trials=trials, seed=seed))
+        for n, model, label, _ in rows for trials, chunk_size, seed in _FREEZE_RUNS])
+
+    def child(**env_vars):
+        env = dict(os.environ, **env_vars)
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PORTABLE_CHILD], input=runs,
+                              capture_output=True, env=env, timeout=60, check=True)
+        return json.loads(proc.stdout)
+
+    default = child()
+    baseline = child(NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
+    frozen = [count for *_, counts in rows for count in counts]
+    assert default["counts"] == baseline["counts"] == frozen
+    assert default["uniform"] == baseline["uniform"]
+    assert baseline["log1p"] is None or baseline["log1p"].startswith("baseline")
 
 
 # ------------------------------------------------------------------ memory

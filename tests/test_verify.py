@@ -39,8 +39,8 @@ F = Fraction
 def test_report_container():
     report = VerificationReport()
     assert report.all_passed and len(report) == 0
-    good = VerificationEntry("b/one", "1", "1", 0.0, 0.0, True, 0)
-    bad = VerificationEntry("a/two", "1", "2", 1.0, 0.0, False, 0)
+    good = VerificationEntry("b/one", "1", "1", 0.0, 0.0, True)
+    bad = VerificationEntry("a/two", "1", "2", 1.0, 0.0, False)
     report.add(good)
     report.add(bad)
     assert not report.all_passed
