@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
@@ -135,7 +135,8 @@ def emit_records(records: list[dict[str, Any]], fmt: str, stream) -> None:
 
 
 def emit_report(report: verify.VerificationReport, fmt: str, stream) -> None:
-    _write([asdict(e) for e in report.sorted_entries()], REPORT_FIELDS, fmt, stream)
+    rows = [{name: getattr(e, name) for name in REPORT_FIELDS} for e in report.sorted_entries()]
+    _write(rows, REPORT_FIELDS, fmt, stream)
 
 
 def _check_options(owner: str, takes: str | None, args: argparse.Namespace) -> None:

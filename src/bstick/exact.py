@@ -177,7 +177,8 @@ def prob_exists_triangle(n: int) -> Rational:
 def alternating_factorial_identity(k: int) -> bool:
     """Self-test: sum_{i=2}^{k-1} (-1)^i / ((i-1)!(k-1-i)!) == 1/(k-2)!.
 
-    Both sides are evaluated exactly; returns their equality.
+    Both sides are evaluated exactly; returns their equality.  It reproduces
+    a step of the paper's proof and guards no code path.
     """
     if k < 4:
         raise ValueError("alternating_factorial_identity requires k >= 4")

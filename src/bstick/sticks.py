@@ -166,10 +166,9 @@ def sample_spacings_batch(
     ``out``, a C- or F-contiguous float64 (count, n) array, receives the
     result instead of a new array.  F order keeps every column contiguous, so
     the samplers and the predicates work on contiguous columns throughout.
-    Its prior contents are never read.  The uniform sampler draws its
-    (count, n - 1) breaks into the first count * (n - 1) values of out's
-    memory, so it needs no separate draws buffer; the exponential sampler
-    draws into the thread's "columns" scratch array.
+    Its prior contents are never read.  The uniform sampler draws its breaks
+    into the front of out's memory, so it needs no separate draws buffer; the
+    exponential sampler draws into the thread's "columns" scratch array.
     """
     if n < 1:
         raise ValueError("sample_spacings requires n >= 1")
@@ -182,13 +181,13 @@ def sample_spacings_batch(
         raise ValueError(
             f"out must be a C- or F-contiguous float64 array of shape {(count, n)}"
         )
-    cols = out.T
+    cols, per_trial = out.T, model.draws_per_trial(n)
     if model is SamplerModel.EXPONENTIAL_NORMALIZED:
         # z = log1p(-u) is -y exactly, and its column sum is exactly minus the
         # sum of y: negation is exact and round-to-nearest is symmetric.  So
         # z / sum(z) has the bits of y / sum(y) with one pass less.
         # The draws are dead once negated, so their memory takes the row sums.
-        draws = rng.random(out=scratch_array("columns", (count, n)))
+        draws = rng.random(out=scratch_array("columns", (count, per_trial)))
         np.negative(draws.T, out=cols)
         np.log1p(cols, out=cols)
         np.divide(cols, _row_sums(cols, out=draws.reshape(-1)[:count]), out=cols)
@@ -197,7 +196,7 @@ def sample_spacings_batch(
     # sorting copies them into "columns" or "sorted" before any spacing is
     # written.
     memory = (out if out.flags.c_contiguous else out.T).reshape(-1)
-    draws = memory[: count * (n - 1)].reshape(count, n - 1)
+    draws = memory[: count * per_trial].reshape(count, per_trial)
     breaks = _sorted_columns(rng.random(out=draws))
     if n == 1:
         cols[0] = 1.0

@@ -5,9 +5,10 @@ Four suites (SUITES, in the order "all" runs them):
 * exact      -- pairwise rational equalities between the general formula and
                 the specialized closed forms (residual must be exactly 0),
                 one per exact.FORMULAS entry with a check and each n <= n_max;
-* identities -- exact self-tests of the combinatorial identities the formulas
-                rest on; the kernel recurrences are one table (_RECURRENCES)
-                of name -> (cases, identity), run by one loop;
+* identities -- exact self-tests: the paper's alternating factorial sum, and
+                one table (_RECURRENCES) run by one loop, whose entries guard
+                beta_int and Lemma 3 (Pochhammer), exists-triangle (Fibonacci)
+                and the printed Theorem 1 values (theorem1-from-lemma3);
 * lemma3     -- the iterated integral that powers the general formula,
                 integrated exactly in rationals, against its exact closed
                 value (residual must be exactly 0);
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exact
-from .kernel import beta_int, binomial, fibonacci, pochhammer
+from .kernel import binomial, falling_product, fibonacci, pochhammer
 from .montecarlo import (
     MAX_SEED,
     SimulationConfig,
@@ -191,32 +192,30 @@ def run_exact_crosschecks(n_max: int) -> VerificationReport:
 
 _XS = (Fraction(3, 2), Fraction(7, 5), Fraction(1, 3), Fraction(11, 4))
 
-# Recurrence checks: name -> (cases, identity).  Each is one entry counting
-# the cases where the identity fails.  The lambdas look pochhammer, beta_int,
-# binomial and fibonacci up in this module's globals at call time, so a
-# rebinding of a module attribute (the benchmark's tracer) sees every call.
+# Identity checks, each guarding printed values (module docstring): name ->
+# (cases, identity), one entry counting the cases where it fails.
+# theorem1-from-lemma3 sums Lemma 3's closed values as the paper does, with
+# m = n - k + 2, at the k in 6..n-1 that the exact suite never reaches.  The
+# lambdas look each name up at call time, so the benchmark's tracer sees them.
 _RECURRENCES = {
     "pochhammer-recurrence": (
         [(x, m) for x in _XS for m in range(21)],
         lambda x, m: pochhammer(x, m + 1) == pochhammer(x, m) * (x + m),
     ),
-    "beta-pochhammer-product": (
-        [(a, x) for a in range(1, 13) for x in _XS],
-        lambda a, x: beta_int(a, x) * pochhammer(x, a) == math.factorial(a - 1),
-    ),
-    "pascal-recurrence": (
-        [(n, j) for n in range(1, 41) for j in range(1, n + 1)],
-        lambda n, j: binomial(n, j) == binomial(n - 1, j - 1) + binomial(n - 1, j),
-    ),
     "fibonacci-recurrence": (
         [(j,) for j in range(3, 91)],
         lambda j: fibonacci(j) == fibonacci(j - 1) + fibonacci(j - 2),
+    ),
+    "theorem1-from-lemma3": (
+        [(k, n, n - k + 2) for n in range(7, 13) for k in range(6, n)],
+        lambda k, n, m: exact.prob_all_kgon(k, n) == Fraction(falling_product(n, k - 2), m) * sum(
+            (-1) ** j * binomial(m, j) * lemma3_closed_value(k, n, j) for j in range(1, m + 1)),
     ),
 }
 
 
 def run_identity_selftests() -> VerificationReport:
-    """Exact identity checks: the alternating factorial sum and kernel recurrences."""
+    """Exact identity checks: the alternating factorial sum, then _RECURRENCES."""
     report = VerificationReport()
     for k in range(4, 21):
         ok = exact.alternating_factorial_identity(k)

@@ -67,12 +67,41 @@ def test_exact_crosschecks_all_pass():
 def test_identity_selftests_all_pass():
     report = run_identity_selftests()
     assert report.all_passed
-    ids = {e.check_id for e in report}
-    assert "identity/alt-factorial/k=04" in ids
-    assert "identity/pochhammer-recurrence" in ids
-    assert "identity/beta-pochhammer-product" in ids
-    assert "identity/pascal-recurrence" in ids
-    assert "identity/fibonacci-recurrence" in ids
+    assert {e.check_id for e in report} == {
+        *(f"identity/alt-factorial/k={k:02d}" for k in range(4, 21)),
+        "identity/pochhammer-recurrence",
+        "identity/fibonacci-recurrence",
+        "identity/theorem1-from-lemma3",
+    }
+
+
+def _identity_failures() -> dict[str, str]:
+    return {e.check_id: e.actual for e in run_identity_selftests().failures()}
+
+
+def test_identities_fail_on_a_theorem1_value_off_by_one_part_in_10_30(monkeypatch):
+    """Theorem 1 at (k, n) = (7, 11), a k the exact suite never checks, moved
+    by 10^-30 fails the Theorem 1 entry alone, in one of its 21 cases."""
+    real = exact.prob_all_kgon
+
+    def planted(k, n):
+        return real(k, n) + F(1, 10**30) if (k, n) == (7, 11) else real(k, n)
+
+    monkeypatch.setattr(exact, "prob_all_kgon", planted)
+    assert _identity_failures() == {"identity/theorem1-from-lemma3": "1 failures in 21 cases"}
+
+
+@pytest.mark.parametrize("k, n, j", [(6, 7, 1), (7, 11, 4), (11, 12, 3)])
+def test_identities_fail_on_a_perturbed_lemma3_closed_value(monkeypatch, k, n, j):
+    """Lemma 3's closed value at one (k, n, j) that Theorem 1 sums, moved by
+    one part in 10^30, fails the Theorem 1 entry alone."""
+    real = verify.lemma3_closed_value
+
+    def perturbed(*args):
+        return real(*args) * (1 + F(1, 10**30)) if args == (k, n, j) else real(*args)
+
+    monkeypatch.setattr(verify, "lemma3_closed_value", perturbed)
+    assert _identity_failures() == {"identity/theorem1-from-lemma3": "1 failures in 21 cases"}
 
 
 def test_lemma3_closed_values_frozen():
