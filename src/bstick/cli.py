@@ -14,7 +14,6 @@ prints in full, whatever sys.get_int_max_str_digits().
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -63,8 +62,11 @@ def fraction_texts(f: Fraction) -> tuple[str, str]:
 
 
 def _digit_limit() -> int:
-    """The most decimal digits int() converts (0: no limit)."""
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    """The most decimal digits int() converts, or, where int() has no limit,
+    Python's default limit (4300)."""
+    if hasattr(sys, "get_int_max_str_digits"):
+        return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return 4300
 
 
 def parse_rational(text: str) -> Fraction:
@@ -75,7 +77,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         # Fraction builds 10^exponent: hold it to the digit limit int() sets on num/den.
         _, e, exponent = text.lower().partition("e")
-        if e and 0 < _digit_limit() < abs(int(exponent)):
+        if e and abs(int(exponent)) > _digit_limit():
             raise ValueError
         return Fraction(text).limit_denominator(10**6)
     except (ValueError, ZeroDivisionError) as err:
@@ -122,6 +124,8 @@ def _write(rows: list[dict[str, Any]], fields: list[str], fmt: str, stream) -> N
         json.dump(rows, stream, indent=2)
         stream.write("\n")
     else:
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:

@@ -23,6 +23,11 @@ arithmetic as the row-major form, so neither the sub-blocks nor their layout
 change any spacing, indicator or success count.  Each sub-block is sampled
 into sticks.block_array, which owns the layout and the per-thread reuse of its
 memory.
+
+numpy loads when the first chunk is drawn (sticks.NumpyOnFirstUse), so only
+`simulate` and `verify` load it.  A thread pool, and with it
+concurrent.futures, loads only when run_in_order starts a second thread: a
+one-worker `simulate` never does.
 """
 
 from __future__ import annotations
@@ -31,21 +36,21 @@ import os
 import sys
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import sqrt
 from statistics import NormalDist
 
-import numpy as np
-
 from .sticks import (
     EventSpec,
+    NumpyOnFirstUse,
     SamplerModel,
     block_array,
     event_indicator_batch,
     sample_spacings_batch,
 )
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "GENERATOR_ID",
@@ -130,6 +135,13 @@ def check_budget(trials: int, n: int) -> None:
         raise BudgetExceededError(
             f"trials*n = {trials} * {n} = {trials * n} exceeds the trial budget "
             f"TRIAL_BUDGET = {TRIAL_BUDGET}")
+
+
+def ThreadPoolExecutor(max_workers: int):
+    """A concurrent.futures.ThreadPoolExecutor, that module imported on the first call."""
+    from concurrent.futures import ThreadPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
 
 
 def run_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:

@@ -16,6 +16,10 @@ Polygon inequalities are non-strict: a set of lengths forms a k-gon iff its
 maximum is <= the sum of the others, so degenerate (zero-area) polygons count
 as formed.  The event boundary has probability zero, so estimates are
 unaffected by the choice.
+
+numpy is imported when a sampler or predicate first runs, not with this
+module (NumpyOnFirstUse), so `exact` and `table` never load it and only
+`simulate` and `verify` do.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from functools import cache
 from itertools import combinations
 from math import prod
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "ORACLE_MAX_N",
@@ -62,6 +64,29 @@ NETWORK_MAX_N = 12
 SCRATCH_MAX_VALUES = 1 << 18
 
 _scratch_local = threading.local()
+
+
+class NumpyOnFirstUse:
+    """Stands in for numpy as a module's global ``np`` until numpy is first used.
+
+    The first attribute read imports numpy and rebinds the module's ``np`` to
+    it, so every later lookup there finds plain numpy and costs no extra call.
+    Importing numpy takes about 0.15 s, most of a small `exact` or `table`
+    run, which never needs it.  Each module that uses numpy binds its own:
+    ``np = NumpyOnFirstUse(globals())``.
+    """
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = NumpyOnFirstUse(globals())
 
 
 class SamplerModel(Enum):
@@ -260,7 +285,7 @@ def subset_polygon_oracle(s, k: int) -> SubsetCheck:
     return SubsetCheck(bool(all_ok[0]), bool(any_ok[0]))
 
 
-def scratch_array(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+def scratch_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """An uninitialized array of ``shape`` whose memory the calling thread reuses.
 
     A Monte Carlo estimate works through many sub-blocks of one shape.  Fresh

@@ -7,8 +7,9 @@ Four suites (SUITES, in the order "all" runs them):
                 one per exact.FORMULAS entry with a check and each n <= n_max;
 * identities -- exact self-tests: the paper's alternating factorial sum, and
                 one table (_RECURRENCES) run by one loop, whose entries guard
-                beta_int and Lemma 3 (Pochhammer), exists-triangle (Fibonacci)
-                and the printed Theorem 1 values (theorem1-from-lemma3);
+                beta_int and Lemma 3 (Pochhammer), exists-triangle (Fibonacci:
+                the seeds F_1 = F_2 = 1 and the recurrence) and the printed
+                Theorem 1 values (theorem1-from-lemma3);
 * lemma3     -- the iterated integral that powers the general formula,
                 integrated exactly in rationals, against its exact closed
                 value (residual must be exactly 0);
@@ -204,7 +205,8 @@ _RECURRENCES = {
     ),
     "fibonacci-recurrence": (
         [(j,) for j in range(3, 91)],
-        lambda j: fibonacci(j) == fibonacci(j - 1) + fibonacci(j - 2),
+        lambda j: fibonacci(1) == fibonacci(2) == 1
+        and fibonacci(j) == fibonacci(j - 1) + fibonacci(j - 2),
     ),
     "theorem1-from-lemma3": (
         [(k, n, n - k + 2) for n in range(7, 13) for k in range(6, n)],

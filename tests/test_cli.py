@@ -76,10 +76,10 @@ sys.exit(code)
 """
 
 
-def run_timed_subprocess(*argv):
+def run_timed_subprocess(*argv, **env_vars):
     """run_subprocess, and the seconds the child's main(argv) took."""
     proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv],
-                          capture_output=True, text=True, env=_cli_env(), timeout=30)
+                          capture_output=True, text=True, env=_cli_env(**env_vars), timeout=30)
     return proc, float(proc.stderr.rpartition("main_s=")[2])
 
 
@@ -114,6 +114,9 @@ def test_parse_rational_bounds_a_decimal_exponent_by_the_digit_limit(monkeypatch
             parse_rational(bad)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
     assert parse_rational("1e-701") == 0
+    assert parse_rational("1e-4300") == 0  # Python's default limit
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_rational("1e-4301")
 
 
 def test_parse_range():
@@ -307,15 +310,21 @@ def test_tables_within_the_work_bound_are_admitted(capsys, monkeypatch, argv):
     assert code == EXIT_OK and len(out.splitlines()) > 1
 
 
-@pytest.mark.parametrize("x", ["1e-10000000", "1e+10000000"])
+@pytest.mark.parametrize("x, env_vars", [
+    pytest.param("1e-10000000", {}, id="1e-10000000"),
+    pytest.param("1e+10000000", {}, id="1e+10000000"),
+    pytest.param("1e-10000000", {"PYTHONINTMAXSTRDIGITS": "0"},
+                 id="1e-10000000-PYTHONINTMAXSTRDIGITS=0"),
+])
 @pytest.mark.parametrize("command", [
     ("simulate", "--n", "5", "--event", "max-spacing", "--trials", "1000"),
     ("exact", "--formula", "whitworth", "--n", "5"),
 ])
-def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x):
+def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x, env_vars):
     """A decimal --x whose exponent exceeds the int digit limit is a usage
-    error, refused before 10^exponent is built (1e-10000000 took 37 s)."""
-    proc, elapsed = run_timed_subprocess(*command, "--x", x)
+    error, refused before 10^exponent is built (1e-10000000 took 37 s).  With
+    no limit (PYTHONINTMAXSTRDIGITS=0) Python's default limit, 4300, bounds it."""
+    proc, elapsed = run_timed_subprocess(*command, "--x", x, **env_vars)
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     assert "cannot parse rational value" in proc.stderr
     assert elapsed < 1.0

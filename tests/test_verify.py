@@ -104,6 +104,31 @@ def test_identities_fail_on_a_perturbed_lemma3_closed_value(monkeypatch, k, n, j
     assert _identity_failures() == {"identity/theorem1-from-lemma3": "1 failures in 21 cases"}
 
 
+def _fibonacci_mutant(a, b, shift):
+    """kernel.fibonacci with the seeds a, b and its index moved up by shift."""
+
+    def mutant(j):
+        x, y = a, b
+        for _ in range(j - 1 + shift):
+            x, y = y, x + y
+        return x
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [
+    pytest.param(_fibonacci_mutant(2, 1, 0), id="seed-a-2"),
+    pytest.param(_fibonacci_mutant(1, 2, 0), id="seed-b-2"),
+    pytest.param(_fibonacci_mutant(1, 1, 2), id="index-shifted-by-2"),
+])
+def test_identities_fail_on_a_fibonacci_with_other_seeds_or_index(monkeypatch, mutant):
+    """Each mutant keeps the recurrence but changes every printed
+    exists-triangle value: the seeds F_1 = F_2 = 1 fail it in every case."""
+    assert all(mutant(j) == mutant(j - 1) + mutant(j - 2) for j in range(3, 91))
+    monkeypatch.setattr(verify, "fibonacci", mutant)
+    assert _identity_failures() == {"identity/fibonacci-recurrence": "88 failures in 88 cases"}
+
+
 def test_lemma3_closed_values_frozen():
     # worked by hand from the antiderivatives
     assert lemma3_closed_value(4, 5, 1) == F(-1, 20)
@@ -350,21 +375,31 @@ def test_run_all_runs_the_four_suites_in_order():
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 from bstick.cli import main
-assert "scipy" not in sys.modules, "import bstick loaded scipy"
-for argv in (["exact", "--formula", "theorem1", "--k", "4", "--n", "9"],
-             ["table", "--k", "3:6", "--n", "3:9"],
-             ["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"],
-             ["verify", "--suite", "all", "--n-max", "5", "--trials", "10000", "--seed", "0"]):
+for module in ("scipy", "numpy"):
+    assert module not in sys.modules, f"import bstick.cli loaded {module}"
+# (argv, modules absent after it, modules present after it), run in this order.
+runs = [
+    (["exact", "--formula", "theorem1", "--k", "4", "--n", "9"], ["numpy"], []),
+    (["table", "--k", "3:6", "--n", "3:9"], ["numpy"], []),
+    (["simulate", "--n", "5", "--event", "all", "--k", "3", "--trials", "1000"],
+     ["concurrent.futures", "csv"], ["numpy"]),
+    (["verify", "--suite", "all", "--n-max", "5", "--trials", "10000", "--seed", "0"], [], []),
+]
+for argv, absent, present in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-    for module in ("scipy", "numpy.polynomial"):
+    for module in ("scipy", "numpy.polynomial", *absent):
         assert module not in sys.modules, f"bstick {argv[0]} loaded {module}"
+    for module in present:
+        assert module in sys.modules, f"bstick {argv[0]} did not load {module}"
 """
 
 
 def test_no_subcommand_loads_scipy():
     """A fresh interpreter runs every subcommand, verify with all its suites.
-    None loads scipy, nor numpy.polynomial: lemma3 integrates in rationals."""
+    None loads scipy, nor numpy.polynomial: lemma3 integrates in rationals.
+    exact and table load no numpy, and a one-worker JSON simulate loads
+    numpy but neither concurrent.futures nor csv."""
     env = dict(os.environ)
     src = str(Path(bstick.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
