@@ -1,93 +1,17 @@
-"""Broken-stick polygon probabilities: exact formulas, simulation, verification."""
+"""Broken-stick polygon probabilities: exact formulas, simulation, verification.
 
-from .exact import (
-    CapExceededError,
-    alternating_factorial_identity,
-    prob_all_kgon,
-    prob_all_ngon,
-    prob_all_pentagon_beta,
-    prob_all_quadrilateral_beta,
-    prob_all_triangle,
-    prob_exists_triangle,
-    whitworth_survivor,
-)
-from .kernel import Rational, beta_int, binomial, falling_product, fibonacci, pochhammer
-from .montecarlo import (
-    CHUNK_SIZE,
-    GENERATOR_ID,
-    TRIAL_BUDGET,
-    BudgetExceededError,
-    EstimateResult,
-    SimulationConfig,
-    estimate,
-    wilson_interval,
-)
-from .sticks import (
-    ORACLE_MAX_N,
-    EventKind,
-    EventSpec,
-    SamplerModel,
-    all_k_subsets_polygon,
-    event_indicator_batch,
-    exists_k_polygon_windowed,
-    max_spacing_exceeds,
-    sample_spacings,
-    sample_spacings_batch,
-    subset_polygon_oracle,
-)
-from .verify import (
-    VerificationEntry,
-    VerificationReport,
-    run_all,
-    run_exact_crosschecks,
-    run_identity_selftests,
-    run_lemma3_checks,
-    run_mc_crosschecks,
-)
+The package re-exports each module's ``__all__``, the one list of what that
+module makes public.
+"""
+
+from . import exact, kernel, montecarlo, sticks, verify
+from .exact import *  # noqa: F403
+from .kernel import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .sticks import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHUNK_SIZE",
-    "GENERATOR_ID",
-    "ORACLE_MAX_N",
-    "TRIAL_BUDGET",
-    "BudgetExceededError",
-    "CapExceededError",
-    "EstimateResult",
-    "EventKind",
-    "EventSpec",
-    "Rational",
-    "SamplerModel",
-    "SimulationConfig",
-    "VerificationEntry",
-    "VerificationReport",
-    "all_k_subsets_polygon",
-    "alternating_factorial_identity",
-    "beta_int",
-    "binomial",
-    "estimate",
-    "event_indicator_batch",
-    "exists_k_polygon_windowed",
-    "falling_product",
-    "fibonacci",
-    "max_spacing_exceeds",
-    "pochhammer",
-    "prob_all_kgon",
-    "prob_all_ngon",
-    "prob_all_pentagon_beta",
-    "prob_all_quadrilateral_beta",
-    "prob_all_triangle",
-    "prob_exists_triangle",
-    "run_all",
-    "run_exact_crosschecks",
-    "run_identity_selftests",
-    "run_lemma3_checks",
-    "run_mc_crosschecks",
-    "sample_spacings",
-    "sample_spacings_batch",
-    "subset_polygon_oracle",
-    "whitworth_survivor",
-    "wilson_interval",
-    "__version__",
-]
+__all__ = [*exact.__all__, *kernel.__all__, *montecarlo.__all__, *sticks.__all__,
+           *verify.__all__, "__version__"]

@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 from . import exact, verify
@@ -236,7 +237,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_all(args.n_max, args.trials, args.seed, args.workers, suite=args.suite)
+    workers = default_workers() if args.workers is None else args.workers
+    report = verify.run_all(args.n_max, args.trials, args.seed, workers, suite=args.suite)
     emit_report(report, args.format, sys.stdout)
     for total in report.totals:
         print(f"suite {total.suite}: {total.checks} checks, {total.failed} failed, "
@@ -249,7 +251,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; so it reads
+    nothing of the host: _cmd_verify asks default_workers() when it runs."""
     parser = argparse.ArgumentParser(
         prog="bstick",
         description="Broken-stick polygon probabilities: exact values, "
@@ -289,12 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[output], help="run cross-validation suites")
     p_ver.add_argument("--suite", required=True, choices=verify.SUITE_CHOICES)
-    p_ver.add_argument("--n-max", type=int, default=20)
-    p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--workers", type=int, default=default_workers(),
+    p_ver.add_argument("--n-max", type=int, default=20,
+                       help="largest n of the cross-checks (read by the exact suite only)")
+    p_ver.add_argument("--trials", type=int, default=100_000,
+                       help="trials per estimate (read by the mc suite only)")
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed of the first estimate (read by the mc suite only)")
+    p_ver.add_argument("--workers", type=int,
                        help=f"Monte Carlo estimates run at a time (1..{MAX_WORKERS}); "
-                            "default: the CPUs this process may use")
+                            "default: the CPUs this process may use "
+                            "(read by the mc suite only)")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

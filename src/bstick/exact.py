@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 # pochhammer is not called here, but perfbench's tracer rebinds exact.pochhammer.
-from .kernel import Rational, beta_int, binomial, falling_product, fibonacci, pochhammer
+from .kernel import beta_int, binomial, falling_product, fibonacci, pochhammer
 
 __all__ = [
     "MAX_CAP",
@@ -60,7 +60,7 @@ def _check_cap(n: int) -> None:
         raise CapExceededError(f"n={n} exceeds the limit MAX_CAP = {MAX_CAP}")
 
 
-def prob_all_kgon(k: int, n: int) -> Rational:
+def prob_all_kgon(k: int, n: int) -> Fraction:
     """Probability that every choice of k pieces out of n forms a k-gon.
 
     Theorem 1, with m = n-k+2:
@@ -84,7 +84,7 @@ def prob_all_kgon(k: int, n: int) -> Rational:
     return Fraction(falling_product(n, k - 2), m) * total
 
 
-def prob_all_ngon(n: int) -> Rational:
+def prob_all_ngon(n: int) -> Fraction:
     """Probability that the n pieces themselves form an n-gon: 1 - n/2^(n-1)."""
     if n < 3:
         raise ValueError("prob_all_ngon requires n >= 3")
@@ -92,7 +92,7 @@ def prob_all_ngon(n: int) -> Rational:
     return 1 - Fraction(n, 2 ** (n - 1))
 
 
-def prob_all_triangle(n: int) -> Rational:
+def prob_all_triangle(n: int) -> Fraction:
     """Probability that every triple of the n pieces forms a triangle: 1/C(2n-2, n)."""
     if n < 3:
         raise ValueError("prob_all_triangle requires n >= 3")
@@ -100,7 +100,7 @@ def prob_all_triangle(n: int) -> Rational:
     return Fraction(1, binomial(2 * n - 2, n))
 
 
-def prob_all_quadrilateral_beta(n: int) -> Rational:
+def prob_all_quadrilateral_beta(n: int) -> Fraction:
     """Every-4-subset probability via its Beta-function form.
 
     [n(n-1)/(n-2)] * ( B(n-1, (n-2)/2)/2 - B(n-1, n-2) ), exactly.
@@ -113,7 +113,7 @@ def prob_all_quadrilateral_beta(n: int) -> Rational:
     return Fraction(n * (n - 1), n - 2) * combo
 
 
-def prob_all_pentagon_beta(n: int) -> Rational:
+def prob_all_pentagon_beta(n: int) -> Fraction:
     """Every-5-subset probability via its Beta-function form.
 
     [n(n-1)(n-2)/(n-3)^2] *
@@ -131,7 +131,7 @@ def prob_all_pentagon_beta(n: int) -> Rational:
     return Fraction(n * (n - 1) * (n - 2), (n - 3) ** 2) * combo
 
 
-def whitworth_survivor(n: int, x: Rational) -> Rational:
+def whitworth_survivor(n: int, x: Fraction) -> Fraction:
     """P(largest spacing > x) for n uniform spacings of the unit interval.
 
     Inclusion-exclusion sum over j with jx < 1:
@@ -160,7 +160,7 @@ def whitworth_survivor(n: int, x: Rational) -> Rational:
     return total
 
 
-def prob_exists_triangle(n: int) -> Rational:
+def prob_exists_triangle(n: int) -> Fraction:
     """Probability that some triple of the n pieces forms a triangle.
 
     1 - n! * prod_{j=2}^{n} (F_{j+2} - 1)^{-1}, with F_1 = F_2 = 1.
@@ -200,7 +200,7 @@ class Formula:
     the form equal to Theorem 1 at k_of_n(n), for every n with k_of_n(n) <= n.
     """
 
-    evaluate: Callable[[int, Any], Rational]
+    evaluate: Callable[[int, Any], Fraction]
     arg: str | None = None
     k_of_n: Callable[[int], int] | None = None
     check: str | None = None

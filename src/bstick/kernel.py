@@ -11,16 +11,12 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "binomial",
     "pochhammer",
     "falling_product",
     "fibonacci",
     "beta_int",
 ]
-
-# Exact rational carrier used throughout the package.
-Rational = Fraction
 
 
 def binomial(n: int, j: int) -> int:
@@ -30,7 +26,7 @@ def binomial(n: int, j: int) -> int:
     return math.comb(n, j)
 
 
-def pochhammer(x: Rational | int, m: int) -> Rational:
+def pochhammer(x: Fraction | int, m: int) -> Fraction:
     """Rising factorial x(x+1)...(x+m-1); the empty product (m=0) is 1."""
     if m < 0:
         raise ValueError("pochhammer requires m >= 0")
@@ -58,7 +54,7 @@ def fibonacci(j: int) -> int:
     return a
 
 
-def beta_int(a: int, x: Rational | int) -> Rational:
+def beta_int(a: int, x: Fraction | int) -> Fraction:
     """Beta function B(a, x) for integer a >= 1 and rational x > 0.
 
     Evaluated exactly as (a-1)! / (x)_a, the Gamma-ratio form specialized to

@@ -218,11 +218,10 @@ def sample_spacings_batch(
         np.divide(cols, _row_sums(cols, out=draws.reshape(-1)[:count]), out=cols)
         return out
     # The breaks are drawn row-major into the front of out's own memory;
-    # sorting copies them into "columns" or "sorted" before any spacing is
-    # written.
+    # sorting copies them into "columns" before any spacing is written.
     memory = (out if out.flags.c_contiguous else out.T).reshape(-1)
     draws = memory[: count * per_trial].reshape(count, per_trial)
-    breaks = _sorted_columns(rng.random(out=draws))
+    breaks, _ = _sorted_columns(rng.random(out=draws))
     if n == 1:
         cols[0] = 1.0
     else:
@@ -377,31 +376,31 @@ def _sort_steps(m: int) -> tuple[tuple[np.ufunc, int, int, int], ...]:
     return tuple((f, rename.get(a, a), rename.get(b, b), rename[out]) for f, a, b, out in steps)
 
 
-def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+def _sorted_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Sort each row of a (count, m) array; return the (m, count) transpose,
-    every row of which is sorted.
+    every row of which is sorted, and a spare (count,) row or None.
 
     Up to NETWORK_MAX_N values per row, rows.T is sorted by a fixed comparator
     network whose every step is an np.minimum/np.maximum over two whole
     columns.  The first comparator to touch a column reads it from rows.T
     (contiguous when rows is F-ordered) and writes into the work array, so the
-    input is never copied or modified; the work array's last row is left
-    spare.  Wider rows are sorted row-major like np.sort and returned as a
-    transposed view.  Sorting only permutes values, so both give the bits of
-    np.sort(rows, axis=1).  The result is a view of one of the thread's
-    scratch arrays ("columns" or "sorted").
+    input is never copied or modified; the work array's last row, which the
+    sort leaves free, is the spare row.  Wider rows are sorted row-major like
+    np.sort and returned as a transposed view, with no spare row.  Sorting
+    only permutes values, so both give the bits of np.sort(rows, axis=1).
+    The result is a view of the thread's "columns" scratch array.
     """
     count, m = rows.shape
     if m > NETWORK_MAX_N:
-        srt = scratch_array("sorted", (count, m))
+        srt = scratch_array("columns", (count, m))
         np.copyto(srt, rows)
         srt.sort(axis=1)
-        return srt.T
+        return srt.T, None
     work = scratch_array("columns", (m + 1, count))
     buffers = [*rows.T, *work]
     for f, a, b, out in _sort_steps(m):
         f(buffers[a], buffers[b], out=buffers[out])
-    return work[:m]
+    return work[:m], work[m]
 
 
 # numpy sums a row of up to this many values with 8 running partial sums;
@@ -449,19 +448,18 @@ def _polygon_indicator(kind: EventKind, spacings: np.ndarray, k: int) -> np.ndar
 
     Sorts the columns once; every row of the result is sorted.  'all' tests
     the largest spacing against the sum of the k-1 smallest; up to
-    NETWORK_MAX_N values the sum goes into the spare last row of the
-    "columns" work array.  'exists' tests each window of k consecutive
-    sorted spacings: the top of window j, srt[j+k-1], against
-    csum[j+k-1] - csum[j], where csum[i] is the running sum of the i smallest.
+    NETWORK_MAX_N values the sum goes into the sort's spare row.  'exists'
+    tests each window of k consecutive sorted spacings: the top of window j,
+    srt[j+k-1], against csum[j+k-1] - csum[j], where csum[i] is the running
+    sum of the i smallest.
     Up to NETWORK_MAX_N values the running sums live in a ring of k rows,
     csum[i] in row i % k: window j writes its sum into csum[j]'s row, tests
     it, and then writes csum[j+k] there.  Wider rows take one cumsum and test
     every window at once.
     """
     count, n = spacings.shape
-    srt = _sorted_columns(spacings)
+    srt, spare = _sorted_columns(spacings)
     if kind is EventKind.ALL_K_SUBSETS:
-        spare = scratch_array("columns", (n + 1, count))[n] if n <= NETWORK_MAX_N else None
         return srt[-1] <= _row_sums(srt[: k - 1], out=spare)
     windows = n - k + 1
     if n > NETWORK_MAX_N:

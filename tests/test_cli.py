@@ -625,11 +625,23 @@ def test_verify_mc_accepts_the_largest_seed(capsys):
 
 
 @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (200, MAX_WORKERS)])
-def test_verify_workers_default_to_the_usable_cpus(monkeypatch, cpus, expected):
+def test_verify_workers_default_to_the_usable_cpus(capsys, monkeypatch, cpus, expected):
+    """verify's default is read when it runs, not when the parser, which is
+    built once per process, was built."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1000)  # affinity wins where it exists
     assert default_workers() == expected
-    assert build_parser().parse_args(["verify", "--suite", "mc"]).workers == expected
+    received = []
+
+    def recording_run_all(n_max, trials, seed, workers, suite):
+        received.append(workers)
+        return VerificationReport()
+
+    monkeypatch.setattr(verify, "run_all", recording_run_all)
+    assert run(capsys, "verify", "--suite", "mc")[0] == EXIT_OK
+    assert run(capsys, "verify", "--suite", "mc", "--workers", "3")[0] == EXIT_OK
+    assert received == [expected, 3]
+    assert build_parser() is build_parser()
     simulate = ["simulate", "--n", "5", "--event", "all", "--k", "3"]
     assert build_parser().parse_args(simulate).workers == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import bstick
-from bstick import exact, montecarlo, sticks, verify
+from bstick import exact, kernel, montecarlo, sticks, verify
 from bstick.cli import main
 from bstick.exact import prob_all_kgon, prob_exists_triangle, whitworth_survivor
 from bstick.montecarlo import (
@@ -121,7 +121,7 @@ def test_chunk_size_and_interval_level_are_not_settings(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)[0]["seed"] == 0
     for module, name in ((exact, "ProblemSpec"), (exact, "joint_spacing_survivor"),
                          (verify, "sampler_equivalence_test"),
-                         (montecarlo, "DEFAULT_TRIAL_BUDGET")):
+                         (montecarlo, "DEFAULT_TRIAL_BUDGET"), (kernel, "Rational")):
         assert not hasattr(bstick, name) and name not in bstick.__all__
         assert not hasattr(module, name) and name not in module.__all__
 

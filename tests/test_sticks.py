@@ -500,20 +500,27 @@ def test_sorted_columns_sorts_every_zero_one_input(m):
     assert len(_sort_steps(m)) <= 2 * len(_network(m)) + 1
     for layout in (np.asfortranarray(rows), rows):
         before = layout.copy()
-        assert _same_bits(_sorted_columns(layout), expected)
+        assert _same_bits(_sorted_columns(layout)[0], expected)
         assert _same_bits(layout, before), "input must not be modified"
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, NETWORK_MAX_N, NETWORK_MAX_N + 1, 24, 50, 200])
 def test_sorted_columns_equal_row_sort(m):
+    """The sort also returns a spare row that overlaps neither its result nor
+    its input, up to NETWORK_MAX_N values, and None above."""
     rows = np.random.default_rng(m).random((300, m))
     rows[::7, : m // 2] = 0.25  # ties
     expected = np.sort(rows, axis=1)
     for layout in (rows, np.asfortranarray(rows)):
-        cols = _sorted_columns(layout)
+        cols, spare = _sorted_columns(layout)
         assert cols.shape == (m, 300)
         assert _same_bits(cols.T, expected)
         assert _same_bits(layout, rows), "input must not be modified"
+        if m > NETWORK_MAX_N:
+            assert spare is None
+        else:
+            assert spare.shape == (300,)
+            assert not np.shares_memory(spare, cols) and not np.shares_memory(spare, layout)
 
 
 _SIZES = st.one_of(st.integers(1, 40), st.sampled_from([63, 64, 65, 127, 128, 129, 200, 300]))
@@ -535,7 +542,7 @@ def test_column_kernel_matches_row_major_reference_bitwise(seed, n, count, model
         return
     ref_sorted = np.sort(expected, axis=1)
     # a copy: the predicates below reuse the scratch array _sorted_columns returns
-    srt = _sorted_columns(spacings).copy()
+    srt = _sorted_columns(spacings)[0].copy()
     for k in sorted({3, 4, 9, 10, n // 2, n} & set(range(3, n + 1))):
         # the k-1 smallest spacings, summed in numpy's row order
         assert _same_bits(_row_sums(srt[: k - 1]), ref_sorted[:, : k - 1].sum(axis=1))
