@@ -62,23 +62,14 @@ def fraction_texts(f: Fraction) -> tuple[str, str]:
         return f"{num}/{den}", str(num / den).lower()
 
 
-def _digit_limit() -> int:
-    """The most decimal digits int() converts, or, where int() has no limit,
-    Python's default limit (4300)."""
-    if hasattr(sys, "get_int_max_str_digits"):
-        return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    return 4300
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' exactly, or a decimal, snapped to denominator <= 10^6."""
+    """Parse an integer or 'num/den' exactly, or a plain decimal, snapped to
+    denominator <= 10^6.  An exponent form, as in '1e-3', is refused."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
-        # Fraction builds 10^exponent: hold it to the digit limit int() sets on num/den.
-        _, e, exponent = text.lower().partition("e")
-        if e and abs(int(exponent)) > _digit_limit():
+        if "e" in text.lower():
             raise ValueError
         return Fraction(text).limit_denominator(10**6)
     except (ValueError, ZeroDivisionError) as err:

@@ -33,7 +33,6 @@ one-worker `simulate` never does.
 from __future__ import annotations
 
 import os
-import sys
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -75,9 +74,9 @@ __all__ = [
 GENERATOR_ID = "philox4x64-10/key=(seed,chunk):v1"
 
 # Trials per chunk, part of the stream layout: changing it changes estimates.
-# An estimate takes at most sys.maxsize chunks (CHUNK_SIZE * sys.maxsize
-# trials, about 6e23 on 64-bit builds), so every chunk index is a Python
-# sequence index and fits the generator key's second word.
+# TRIAL_BUDGET holds an estimate to at most 10^9 trials, so every chunk index
+# is far below sys.maxsize: a Python sequence index that fits the generator
+# key's second word.
 CHUNK_SIZE = 1 << 16
 
 # Bound on trials * n, the total spacing values a run would draw and test,
@@ -201,10 +200,6 @@ class SimulationConfig:
             raise ValueError(f"n must lie in 1..{MAX_N}, got {self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if _chunk_count(self.trials) > sys.maxsize:
-            raise ValueError(
-                f"trials must be at most CHUNK_SIZE * sys.maxsize = "
-                f"{CHUNK_SIZE * sys.maxsize}, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.event.validate_for(self.n)

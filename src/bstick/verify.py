@@ -12,7 +12,8 @@ Four suites (SUITES, in the order "all" runs them):
                 Theorem 1 values (theorem1-from-lemma3);
 * lemma3     -- the iterated integral that powers the general formula,
                 integrated exactly in rationals, against its exact closed
-                value (residual must be exactly 0);
+                value (residual must be exactly 0) at 4 <= k <= 8, n <= 10,
+                j <= 3 (_LEMMA3_GRID);
 * mc         -- Monte Carlo estimates on one table in stream order, _MC_GRID,
                 whose rows name the sampler model and the exact.FORMULAS
                 entry each estimate is held to.  Its 30 estimates run whole,
@@ -259,6 +260,12 @@ def _lemma3_integral(k: int, n: int, j: int) -> Fraction:
     return sum((c / (a + lam) for a, c in terms.items()), Fraction(0))
 
 
+# The largest k of lemma3_residual.  Its cost grows about as k^3, and less
+# than 2x with n <= MAX_CAP and j: on a 2 vCPU Xeon the slowest of 26 (n, j)
+# cells at k = 320 took 0.93 s, MAX_CAP's ~1 s design; k = 400 took 0.9-1.8 s.
+LEMMA3_MAX_K = 320
+
+
 def lemma3_residual(k: int, n: int, j: int) -> Fraction:
     """Exact integral minus exact closed value; 0 when the identity holds.
 
@@ -268,19 +275,24 @@ def lemma3_residual(k: int, n: int, j: int) -> Fraction:
 
     where I_inner nests k-4 more integrals of
     e^(-j(2*x2 + x3 + ... )) - e^(-j(x2 + ... )) over 0 < x2 < ... < x,
-    is computed in rationals by _lemma3_integral.
+    is computed in rationals by _lemma3_integral, for any 4 <= k <= n.
+    k above LEMMA3_MAX_K or n above exact.MAX_CAP raises CapExceededError
+    before any arithmetic.
     """
-    if k not in (4, 5, 6):
-        raise ValueError("check supports k in {4, 5, 6}")
+    if k < 4:
+        raise ValueError("need k >= 4")
+    if k > LEMMA3_MAX_K:
+        raise exact.CapExceededError(f"k={k} exceeds the limit LEMMA3_MAX_K = {LEMMA3_MAX_K}")
     if n < k:
         raise ValueError("need n >= k")
+    exact._check_cap(n)
     if not 1 <= j <= n - k + 2:
         raise ValueError("need 1 <= j <= n-k+2")
     return _lemma3_integral(k, n, j) - lemma3_closed_value(k, n, j)
 
 
-# The (k, n, j) points of the lemma3 suite: k in {4, 5}, n <= 8, j <= 3.
-_LEMMA3_GRID = [(k, n, j) for k in (4, 5) for n in range(k, 9)
+# The (k, n, j) points of the lemma3 suite: 4 <= k <= 8, n <= 10, j <= 3.
+_LEMMA3_GRID = [(k, n, j) for k in range(4, 9) for n in range(k, 11)
                 for j in range(1, min(3, n - k + 2) + 1)]
 
 

@@ -105,18 +105,14 @@ def test_parse_rational():
             parse_rational(bad)
 
 
-def test_parse_rational_bounds_a_decimal_exponent_by_the_digit_limit(monkeypatch):
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 700)
-    assert parse_rational("1e-700") == 0  # snapped to a denominator <= 10^6
-    assert parse_rational("1E+700") == 10**700
-    for bad in ("1e-701", "1e701", "0.5e7_01"):
+def test_parse_rational_refuses_an_exponent_form():
+    """--x takes an integer, num/den or a plain decimal (test_parse_rational);
+    no exponent form."""
+    for bad in ("1e-3", "5E-1", "0.5e0"):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_rational(bad)
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
-    assert parse_rational("1e-701") == 0
-    assert parse_rational("1e-4300") == 0  # Python's default limit
-    with pytest.raises(ValueError, match="cannot parse"):
-        parse_rational("1e-4301")
+    assert parse_rational("0.5") == F(1, 2)
+    assert parse_rational("0.3333333") == F(1, 3)  # snapped to a denominator <= 10^6
 
 
 def test_parse_range():
@@ -321,9 +317,9 @@ def test_tables_within_the_work_bound_are_admitted(capsys, monkeypatch, argv):
     ("exact", "--formula", "whitworth", "--n", "5"),
 ])
 def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x, env_vars):
-    """A decimal --x whose exponent exceeds the int digit limit is a usage
-    error, refused before 10^exponent is built (1e-10000000 took 37 s).  With
-    no limit (PYTHONINTMAXSTRDIGITS=0) Python's default limit, 4300, bounds it."""
+    """An exponent form is not a --x: it is a usage error, refused before
+    10^exponent is built (1e-10000000 took 37 s), with or without the int
+    digit limit (PYTHONINTMAXSTRDIGITS=0)."""
     proc, elapsed = run_timed_subprocess(*command, "--x", x, **env_vars)
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     assert "cannot parse rational value" in proc.stderr
@@ -335,9 +331,9 @@ def test_decimal_x_with_a_huge_exponent_exits_at_once(command, x, env_vars):
     ("exact", "--formula", "whitworth", "--n", "5"),
 ])
 def test_decimal_x_at_the_digit_limit_is_refused_by_its_range(command):
-    """1e4300 passes parse_rational's exponent guard but has 4301 digits: the
-    range check on x refuses it before any label would print it."""
-    proc = run_subprocess(*command, "--x", "1e4300", PYTHONINTMAXSTRDIGITS="4300")
+    """A 4300-digit --x parses under the int digit limit: the range check on
+    x refuses it before any label would print it."""
+    proc = run_subprocess(*command, "--x", "9" * 4300, PYTHONINTMAXSTRDIGITS="4300")
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "Exceeds the limit" not in line

@@ -286,21 +286,24 @@ def test_n_above_max_n_is_rejected_before_allocating():
     assert peak < BLOCK_VALUES
 
 
-def test_trials_beyond_sys_maxsize_chunks_are_a_usage_error(capsys):
-    """An estimate takes at most sys.maxsize chunks: every chunk index must be
-    a sequence index and fit the key's second word.  Past that limit 10^24
-    trials ended in an OverflowError traceback; SimulationConfig refuses them
-    before the trial budget is checked."""
-    limit = CHUNK_SIZE * sys.maxsize
-    assert _config(n=1, event=EventSpec.max_spacing("1/2"), trials=limit).trials == limit
-    with pytest.raises(ValueError, match="trials must be at most CHUNK_SIZE"):
-        _config(n=1, event=EventSpec.max_spacing("1/2"), trials=limit + 1)
+def test_trials_beyond_sys_maxsize_chunks_exceed_the_trial_budget(capsys, monkeypatch):
+    """TRIAL_BUDGET is the one bound on trials: 10^24 trials, more than
+    CHUNK_SIZE * sys.maxsize, is a valid config that estimate refuses before
+    it builds the chunk range or draws a trial (exit 4)."""
+    trials = 10**24
+    assert trials > CHUNK_SIZE * sys.maxsize
+    assert _config(n=1, event=EventSpec.max_spacing("1/2"), trials=trials).trials == trials
+
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_chunk_successes", no_draw)
     code = main(["simulate", "--n", "1", "--event", "max-spacing", "--x", "1/2",
-                 "--trials", str(10**24)])
+                 "--trials", str(trials)])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    assert code == 4 and captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: trials must be at most")
+    assert line.startswith("error: trials*n = ") and "TRIAL_BUDGET" in line
 
 
 def test_n_at_max_n_is_estimated_one_trial_per_sub_block(monkeypatch):

@@ -161,12 +161,36 @@ def test_lemma3_closed_value_k5_partial_fractions():
 def test_lemma3_residual_values():
     assert lemma3_residual(4, 5, 1) == 0
     assert lemma3_residual(5, 7, 2) == 0
+    assert lemma3_residual(7, 9, 1) == 0
     with pytest.raises(ValueError):
-        lemma3_residual(7, 9, 1)
+        lemma3_residual(3, 5, 1)
     with pytest.raises(ValueError):
         lemma3_residual(4, 3, 1)
     with pytest.raises(ValueError):
         lemma3_residual(4, 6, 5)  # j beyond n-k+2
+
+
+def test_lemma3_residual_refuses_k_or_n_above_its_caps_at_once(monkeypatch):
+    """k above LEMMA3_MAX_K or n above MAX_CAP raises CapExceededError before
+    the integral or the closed value is computed."""
+
+    def _no_arithmetic(*args):
+        raise AssertionError("the integral or the closed value was computed")
+
+    monkeypatch.setattr(verify, "_lemma3_integral", _no_arithmetic)
+    monkeypatch.setattr(verify, "lemma3_closed_value", _no_arithmetic)
+    k_max = verify.LEMMA3_MAX_K
+    for k, n, j in [(k_max + 1, k_max + 1, 1), (10**6, 10**6, 2), (4, exact.MAX_CAP + 1, 1)]:
+        with pytest.raises(exact.CapExceededError):
+            lemma3_residual(k, n, j)
+
+
+def test_lemma3_residual_admits_every_k_from_4_to_its_cap(monkeypatch):
+    """The guards alone are under test, so the arithmetic is stubbed."""
+    monkeypatch.setattr(verify, "_lemma3_integral", lambda k, n, j: F(k))
+    monkeypatch.setattr(verify, "lemma3_closed_value", lambda k, n, j: F(k))
+    for k in range(4, verify.LEMMA3_MAX_K + 1):
+        assert lemma3_residual(k, k, 2) == lemma3_residual(k, exact.MAX_CAP, 1) == 0
 
 
 def test_lemma3_integral_equals_closed_value_over_a_wide_grid():
@@ -180,7 +204,7 @@ def test_lemma3_integral_equals_closed_value_over_a_wide_grid():
 def test_lemma3_checks_within_tolerance():
     report = run_lemma3_checks()
     assert report.all_passed
-    assert len(report) == 25  # grid size for k in {4,5}, n <= 8, j <= min(3, n-k+2)
+    assert len(report) == 70  # grid size for 4 <= k <= 8, n <= 10, j <= min(3, n-k+2)
     for entry in report:
         assert entry.tolerance == 0.0 and entry.residual == 0.0
         assert entry.actual == entry.expected
@@ -189,7 +213,7 @@ def test_lemma3_checks_within_tolerance():
 
 
 @pytest.mark.parametrize("k, n, j", [(4, 4, 1), (4, 8, 3), (5, 5, 1), (5, 8, 3),
-                                     (6, 6, 1), (6, 9, 3)])
+                                     (6, 6, 1), (6, 9, 3), (7, 9, 3), (8, 10, 3)])
 def test_lemma3_check_detects_a_perturbed_closed_value(monkeypatch, k, n, j):
     closed = lemma3_closed_value(k, n, j)
     # One part in 10^30 is far below double precision; equality still sees it.
@@ -197,12 +221,22 @@ def test_lemma3_check_detects_a_perturbed_closed_value(monkeypatch, k, n, j):
     assert float(perturbed) == float(closed)
     monkeypatch.setattr(verify, "lemma3_closed_value", lambda *a: perturbed)
     assert lemma3_residual(k, n, j) == closed - perturbed
-    if k == 6:  # outside the suite's grid
-        return
     entries = {e.check_id: e for e in run_lemma3_checks()}
     entry = entries[f"lemma3/k={k}/n={n}/j={j}"]
     assert not entry.passed and entry.tolerance == 0.0
     assert entry.expected == str(perturbed) and entry.actual == str(closed)
+
+
+@pytest.mark.parametrize("k, n, j", [(6, 9, 3), (7, 8, 2), (8, 10, 1)])
+def test_lemma3_check_detects_a_defect_in_the_integral(monkeypatch, k, n, j):
+    """The integral at one (k, n, j) moved by 10^-30 fails that entry alone."""
+    real = verify._lemma3_integral
+
+    def planted(*args):
+        return real(*args) + F(1, 10**30) if args == (k, n, j) else real(*args)
+
+    monkeypatch.setattr(verify, "_lemma3_integral", planted)
+    assert [e.check_id for e in run_lemma3_checks().failures()] == [f"lemma3/k={k}/n={n}/j={j}"]
 
 
 def test_mc_crosschecks_pass_and_are_labeled():
