@@ -546,9 +546,8 @@ def test_verify_report_csv_on_stdout(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    report = VerificationReport()
-    report.add(VerificationEntry("x/broken", "1", "2", 1.0, 0.0, False))
-    monkeypatch.setattr(verify, "run_identity_selftests", lambda: report)
+    broken = VerificationEntry("x/broken", "1", "2", 1.0, 0.0, False)
+    monkeypatch.setattr(verify, "run_identity_selftests", lambda: [broken])
     code, _, err = run(capsys, "verify", "--suite", "identities")
     assert code == EXIT_VERIFY_FAILED
     assert err.startswith("suite identities: 1 checks, 1 failed, ")
@@ -610,6 +609,21 @@ def test_verify_rejects_bad_mc_arguments_before_any_suite(capsys, monkeypatch, b
     assert called == []
 
 
+@pytest.mark.parametrize("suite, ignored, checks", [
+    ("lemma3", ["--n-max", "201"], 70),
+    ("exact", ["--trials", "100", "--seed", "-1", "--workers", "65"], 88),
+    ("identities", ["--n-max", "4", "--trials", "5"], 20),
+])
+def test_verify_suite_ignores_the_options_it_does_not_read(capsys, suite, ignored, checks):
+    """Options that only --suite all or another suite reads are not checked:
+    each of these would be refused under --suite all."""
+    code, out, err = run(capsys, "verify", "--suite", suite, *ignored)
+    assert code == EXIT_OK
+    entries = json.loads(out)
+    assert len(entries) == checks and all(e["passed"] for e in entries)
+    assert err.startswith(f"suite {suite}: {checks} checks, 0 failed, ")
+
+
 def test_verify_mc_accepts_the_largest_seed(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "mc",
                        "--seed", "18446744073709551615", "--trials", "10000")
@@ -631,7 +645,7 @@ def test_verify_workers_default_to_the_usable_cpus(capsys, monkeypatch, cpus, ex
 
     def recording_run_all(n_max, trials, seed, workers, suite):
         received.append(workers)
-        return VerificationReport()
+        return VerificationReport([], [])
 
     monkeypatch.setattr(verify, "run_all", recording_run_all)
     assert run(capsys, "verify", "--suite", "mc")[0] == EXIT_OK

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,37 +37,38 @@ F = Fraction
 
 
 def test_report_container():
-    report = VerificationReport()
-    assert report.all_passed and len(report) == 0
+    empty = VerificationReport([], [])
+    assert empty.all_passed and empty.entries == [] and empty.failures() == []
     good = VerificationEntry("b/one", "1", "1", 0.0, 0.0, True)
     bad = VerificationEntry("a/two", "1", "2", 1.0, 0.0, False)
-    report.add(good)
-    report.add(bad)
+    report = VerificationReport([good, bad], [])
     assert not report.all_passed
     assert report.failures() == [bad]
     assert report.sorted_entries() == [bad, good]
-    assert list(report) == [good, bad]
+    assert report.entries == [good, bad]
     assert asdict(good)["check_id"] == "b/one"
+    with pytest.raises(TypeError):  # no report without its per-suite totals
+        VerificationReport([good])
 
 
 def test_exact_crosschecks_all_pass():
-    report = run_exact_crosschecks(12)
-    assert len(report) > 0
-    assert report.all_passed
-    ids = [e.check_id for e in report]
+    entries = run_exact_crosschecks(12)
+    assert len(entries) > 0
+    assert all(e.passed for e in entries)
+    ids = [e.check_id for e in entries]
     assert len(ids) == len(set(ids))
     assert "exact/ngon-closed/n=03" in ids
     assert "exact/whitworth-half/n=02" in ids
     # exact suites demand literal equality, not closeness
-    assert all(e.tolerance == 0.0 and e.residual == 0.0 for e in report)
+    assert all(e.tolerance == 0.0 and e.residual == 0.0 for e in entries)
     with pytest.raises(ValueError):
         run_exact_crosschecks(4)
 
 
 def test_identity_selftests_all_pass():
-    report = run_identity_selftests()
-    assert report.all_passed
-    assert {e.check_id for e in report} == {
+    entries = run_identity_selftests()
+    assert all(e.passed for e in entries)
+    assert {e.check_id for e in entries} == {
         *(f"identity/alt-factorial/k={k:02d}" for k in range(4, 21)),
         "identity/pochhammer-recurrence",
         "identity/fibonacci-recurrence",
@@ -76,7 +77,7 @@ def test_identity_selftests_all_pass():
 
 
 def _identity_failures() -> dict[str, str]:
-    return {e.check_id: e.actual for e in run_identity_selftests().failures()}
+    return {e.check_id: e.actual for e in run_identity_selftests() if not e.passed}
 
 
 def test_identities_fail_on_a_theorem1_value_off_by_one_part_in_10_30(monkeypatch):
@@ -202,10 +203,10 @@ def test_lemma3_integral_equals_closed_value_over_a_wide_grid():
 
 
 def test_lemma3_checks_within_tolerance():
-    report = run_lemma3_checks()
-    assert report.all_passed
-    assert len(report) == 70  # grid size for 4 <= k <= 8, n <= 10, j <= min(3, n-k+2)
-    for entry in report:
+    entries = run_lemma3_checks()
+    assert all(e.passed for e in entries)
+    assert len(entries) == 70  # grid size for 4 <= k <= 8, n <= 10, j <= min(3, n-k+2)
+    for entry in entries:
         assert entry.tolerance == 0.0 and entry.residual == 0.0
         assert entry.actual == entry.expected
     with pytest.raises(TypeError):  # the grid is fixed: no k_values, n_max or j_max
@@ -236,21 +237,22 @@ def test_lemma3_check_detects_a_defect_in_the_integral(monkeypatch, k, n, j):
         return real(*args) + F(1, 10**30) if args == (k, n, j) else real(*args)
 
     monkeypatch.setattr(verify, "_lemma3_integral", planted)
-    assert [e.check_id for e in run_lemma3_checks().failures()] == [f"lemma3/k={k}/n={n}/j={j}"]
+    assert ([e.check_id for e in run_lemma3_checks() if not e.passed]
+            == [f"lemma3/k={k}/n={n}/j={j}"])
 
 
 def test_mc_crosschecks_pass_and_are_labeled():
-    report = run_mc_crosschecks(10_000, seed=5)
-    assert report.all_passed
-    ids = {e.check_id for e in report}
+    entries = run_mc_crosschecks(10_000, seed=5)
+    assert all(e.passed for e in entries)
+    ids = {e.check_id for e in entries}
     assert "mc/all/k=3/n=3" in ids
     assert "mc/exists/k=3/n=5" in ids
     assert "mc/whitworth/n=4/x=1/2" in ids
     assert "mc/all/k=4/n=6/model=exponential" in ids
     assert "mc/whitworth/n=6/x=1/2/model=exponential" in ids
     # 21 grid points + 3 whitworth + 2 exists, then 4 exponential-model entries
-    assert len(report) == 30
-    for e in report:
+    assert len(entries) == 30
+    for e in entries:
         assert Fraction(e.expected) > 0, e.check_id
     with pytest.raises(ValueError):
         run_mc_crosschecks(9_999, seed=0)
@@ -283,8 +285,8 @@ def test_mc_estimates_of_a_biased_exponential_sampler_fail_against_exact_values(
         return spacings
 
     monkeypatch.setattr(montecarlo, "sample_spacings_batch", biased)
-    report = run_mc_crosschecks(10**5, seed=1)
-    failed = {e.check_id: e.expected for e in report.failures()}
+    entries = run_mc_crosschecks(10**5, seed=1)
+    failed = {e.check_id: e.expected for e in entries if not e.passed}
     assert failed == {
         "mc/all/k=3/n=5/model=exponential": "1/56",
         "mc/all/k=4/n=6/model=exponential": "11/112",
@@ -301,7 +303,7 @@ def test_mc_grid_row_appended_last_moves_no_other_entry(monkeypatch):
     after = run_mc_crosschecks(10**4, seed=6)
     assert ([(e.check_id, e.actual) for e in after][:-1]
             == [(e.check_id, e.actual) for e in before])
-    assert after.entries[-1].check_id == row[0] and after.all_passed
+    assert after[-1].check_id == row[0] and all(e.passed for e in after)
 
 
 def test_mc_trial_budget_covers_the_whole_grid():
@@ -326,7 +328,7 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, fake_pools
     others.  Each estimate runs whole, on estimate's default one worker; at
     w = 1 no pool is made.  Each
     estimate here spans two chunks, so one started with workers > 1 would
-    make a second pool.  The report is the one-worker report, in order."""
+    make a second pool.  The entries are the one-worker entries, in order."""
     calls = []
     real_estimate = verify.estimate
 
@@ -338,7 +340,7 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, fake_pools
     reference = run_mc_crosschecks(70_000, seed=4)
     order = [config for config, _, _ in calls]
     calls.clear()
-    report = run_mc_crosschecks(70_000, seed=4, workers=workers)
+    entries = run_mc_crosschecks(70_000, seed=4, workers=workers)
     assert [kw for _, kw, _ in calls] == [{}] * 30
     ran_on = {config: ident for config, _, ident in calls}
     threads = min(workers, 30)
@@ -349,7 +351,7 @@ def test_mc_suite_shares_one_pool_across_whole_estimates(monkeypatch, fake_pools
     else:
         (pool,) = fake_pools
         assert (pool.max_workers, pool.submitted) == (threads - 1, 30 - len(range(0, 30, threads)))
-    assert ([(e.check_id, e.actual, e.passed) for e in report]
+    assert ([(e.check_id, e.actual, e.passed) for e in entries]
             == [(e.check_id, e.actual, e.passed) for e in reference])
 
 
@@ -392,16 +394,16 @@ def test_mc_suite_cancels_queued_estimates_when_one_raises(monkeypatch, workers)
 
 
 def test_run_all_runs_the_four_suites_in_order():
-    expected = [
-        e.check_id
-        for report in (run_exact_crosschecks(5), run_identity_selftests(),
-                       run_lemma3_checks(), run_mc_crosschecks(10**4, 0))
-        for e in report
-    ]
+    parts = [run_exact_crosschecks(5), run_identity_selftests(),
+             run_lemma3_checks(), run_mc_crosschecks(10**4, 0)]
+    assert all(type(part) is list for part in parts)
     report = run_all(n_max=5, trials=10**4, seed=0)
-    assert [e.check_id for e in report] == expected
+    assert [e.check_id for e in report.entries] == [e.check_id for part in parts for e in part]
     assert [(t.suite, t.failed) for t in report.totals] == [(s, 0) for s in verify.SUITES]
-    assert sum(t.checks for t in report.totals) == len(report)
+    assert [t.checks for t in report.totals] == [len(part) for part in parts]
+    assert sum(t.checks for t in report.totals) == len(report.entries)
+    with pytest.raises(FrozenInstanceError):
+        report.entries = []
     with pytest.raises(ValueError, match="unknown suite"):
         run_all(suite="bogus")
 
