@@ -63,15 +63,19 @@ def fraction_texts(f: Fraction) -> tuple[str, str]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or 'num/den' exactly, or a plain decimal, snapped to
-    denominator <= 10^6.  An exponent form, as in '1e-3', is refused."""
+    """Parse an integer or 'num/den' exactly, or a plain decimal: snapped to a
+    denominator <= 10^6 when the snap rounds back to it at its places ('0.3333333'
+    is 1/3), else exactly.  An exponent form, as in '1e-3', is refused."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
         if "e" in text.lower():
             raise ValueError
-        return Fraction(text).limit_denominator(10**6)
+        value = Fraction(text)
+        snap = value.limit_denominator(10**6)
+        places = -Decimal(text).as_tuple().exponent
+        return snap if 2 * 10**places * abs(snap - value) <= 1 else value
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"cannot parse rational value {text!r}") from err
 
@@ -148,56 +152,33 @@ def _check_options(owner: str, takes: str | None, args: argparse.Namespace) -> N
             raise ValueError(f"{owner} does not take --{option}")
 
 
+def _exact_records(name: str, cells: list[tuple[int, Any]]) -> list[dict[str, Any]]:
+    """exact.FORMULAS[name]'s records at each (n, value of the form's option) cell."""
+    formula = exact.FORMULAS[name]
+    records = []
+    for n, arg in cells:
+        # Evaluate first: the value's own checks bound x before its label prints it.
+        value = formula.evaluate(n, arg)
+        if formula.arg == "x":
+            k, event = None, f"{name}:x={arg}"
+        else:
+            k = arg if formula.arg == "k" else formula.k_of_n(n)
+            event = name
+        records.append(_record("exact", k=k, n=n, event=event, value_exact=value))
+    return records
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     formula = exact.FORMULAS[args.formula]
     _check_options(f"--formula {args.formula}", formula.arg, args)
-    n = args.n
     arg = parse_rational(args.x) if formula.arg == "x" else args.k
-    # Evaluate first: the value's own checks bound x before its label prints it.
-    value = formula.evaluate(n, arg)
-    if formula.arg == "x":
-        k, event = None, f"{args.formula}:x={arg}"
-    else:
-        k = arg if formula.arg == "k" else formula.k_of_n(n)
-        event = args.formula
-    rec = _record("exact", k=k, n=n, event=event, value_exact=value)
-    emit_records([rec], args.format, sys.stdout)
+    emit_records(_exact_records(args.formula, [(args.n, arg)]), args.format, sys.stdout)
     return EXIT_OK
 
 
-# Theorem 1 at (k, n) adds m = n - k + 2 terms, each over a product of k - 2
-# factors, into a sum whose denominator grows to about m*k bits.  A cell and its
-# record cost about mk * (mk * bits(mk) + 94_000) + m * (9_800*m + 1_780_000)
-# work units, mk = m*k.  On a 2 vCPU Xeon a unit took 1.9e-12 to 2.8e-12 s over
-# the cells n in {50, 100, 200, 400, 800} x k in {3, n/4, n/2, 0.6n, 0.75n, 0.9n},
-# and 1.6e-12 to 3.0e-12 s over eleven whole tables, so a table within the budget
-# takes at most about 6 s.  From a fresh interpreter, printing included,
-# --k 3:12 --n 778:800 (0.98x the budget) took 5.9 s and --k 3:200 --n 195:200
-# (0.98x) 5.0 s; --k 560:567 --n 800 (1.35x) is refused.
-TABLE_WORK_BUDGET = 2 * 10**12
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
-    k_lo, k_hi = parse_range(args.k)
-    n_lo, n_hi = parse_range(args.n)
-    if k_lo < 3:
-        raise ValueError("k range must start at 3 or above")
-    exact._check_cap(n_hi)
-    cells, work = [], 0
-    # Cells with k > n are empty: no k beyond the largest n is visited.
-    for k in range(k_lo, min(k_hi, n_hi) + 1):
-        for n in range(max(k, n_lo), n_hi + 1):
-            m = n - k + 2
-            mk = m * k
-            work += mk * (mk * mk.bit_length() + 94_000) + m * (9_800 * m + 1_780_000)
-            if work > TABLE_WORK_BUDGET:
-                raise CapExceededError(
-                    f"the table exceeds the work bound TABLE_WORK_BUDGET = "
-                    f"{TABLE_WORK_BUDGET}; narrow --k or --n")
-            cells.append((k, n))
-    records = [_record("exact", k=k, n=n, event="theorem1",
-                       value_exact=exact.prob_all_kgon(k, n)) for k, n in cells]
-    emit_records(records, args.format, sys.stdout)
+    cells = exact.table_cells(parse_range(args.k), parse_range(args.n))
+    emit_records(_exact_records("theorem1", cells), args.format, sys.stdout)
     return EXIT_OK
 
 

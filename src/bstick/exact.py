@@ -9,8 +9,9 @@ and the related Whitworth and exists-triangle forms are kept as independent
 closed forms.  :data:`FORMULAS` lists every form by its command-line name,
 with the options it takes and the Theorem 1 cross-check that holds it.
 
-Every closed form refuses n above :data:`MAX_CAP` before any arithmetic, and
-the Whitworth form also refuses work above :data:`WHITWORTH_WORK_BUDGET`.
+Every closed form and every table cell (:func:`table_cells`) refuses n above
+:data:`MAX_CAP` before any arithmetic.  The Whitworth form also refuses work
+above :data:`WHITWORTH_WORK_BUDGET`, and a table above :data:`TABLE_WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .kernel import beta_int, binomial, falling_product, fibonacci, pochhammer
 __all__ = [
     "MAX_CAP",
     "WHITWORTH_WORK_BUDGET",
+    "TABLE_WORK_BUDGET",
     "FORMULAS",
     "CapExceededError",
     "Formula",
@@ -37,6 +39,7 @@ __all__ = [
     "whitworth_survivor",
     "prob_exists_triangle",
     "alternating_factorial_identity",
+    "table_cells",
 ]
 
 # The largest n of every closed form.  The slowest FORMULAS value here, Theorem 1
@@ -49,6 +52,16 @@ MAX_CAP = 800
 # squared, so the budget bounds printing too: at its edge (one term, n = 800,
 # a 791-bit denominator) `bstick exact` took 1.6 s on that host, printing included.
 WHITWORTH_WORK_BUDGET = 4 * 10**11
+# Theorem 1 at (k, n) adds m = n - k + 2 terms, each over a product of k - 2
+# factors, into a sum whose denominator grows to about m*k bits.  A cell and its
+# record cost about mk * (mk * bits(mk) + 94_000) + m * (9_800*m + 1_780_000)
+# work units, mk = m*k.  On a 2 vCPU Xeon a unit took 1.9e-12 to 2.8e-12 s over
+# the cells n in {50, 100, 200, 400, 800} x k in {3, n/4, n/2, 0.6n, 0.75n, 0.9n},
+# and 1.6e-12 to 3.0e-12 s over eleven whole tables, so a table within the budget
+# takes at most about 6 s.  From a fresh interpreter, printing included,
+# --k 3:12 --n 778:800 (0.98x the budget) took 5.9 s and --k 3:200 --n 195:200
+# (0.98x) 5.0 s; --k 560:567 --n 800 (1.35x) is refused.
+TABLE_WORK_BUDGET = 2 * 10**12
 
 
 class CapExceededError(Exception):
@@ -189,9 +202,30 @@ def alternating_factorial_identity(k: int) -> bool:
     return lhs == Fraction(1, math.factorial(k - 2))
 
 
+def table_cells(k_range: tuple[int, int], n_range: tuple[int, int]) -> list[tuple[int, int]]:
+    """A Theorem 1 table's (n, k) cells with k <= n, k-major, walking no k beyond
+    the largest n; its n and its work are bounded before any value is evaluated."""
+    (k_lo, k_hi), (n_lo, n_hi) = k_range, n_range
+    if k_lo < 3:
+        raise ValueError("k range must start at 3 or above")
+    _check_cap(n_hi)
+    cells, work = [], 0
+    for k in range(k_lo, min(k_hi, n_hi) + 1):
+        for n in range(max(k, n_lo), n_hi + 1):
+            m = n - k + 2
+            mk = m * k
+            work += mk * (mk * mk.bit_length() + 94_000) + m * (9_800 * m + 1_780_000)
+            if work > TABLE_WORK_BUDGET:
+                raise CapExceededError(
+                    f"the table exceeds the work bound TABLE_WORK_BUDGET = "
+                    f"{TABLE_WORK_BUDGET}; narrow --k or --n")
+            cells.append((n, k))
+    return cells
+
+
 @dataclass(frozen=True)
 class Formula:
-    """One closed form, as `bstick exact` and the exact cross-checks use it.
+    """One closed form, as `bstick exact`, `bstick table` and the exact cross-checks use it.
 
     ``evaluate(n, arg)`` returns the exact value, where ``arg`` is the
     value of the form's own option (``arg`` names it: "k", "x" or None).

@@ -100,6 +100,9 @@ def test_parse_rational():
     assert parse_rational("7") == 7
     # decimals snap to denominators up to 10^6
     assert parse_rational("0.333333") == F(333333, 1000000)
+    # ... but only to a snap that rounds back to the decimal at its places
+    assert parse_rational("0.0000001") == F(1, 10**7)
+    assert parse_rational("0.9999999") == F(9999999, 10**7)
     for bad in ("", "a/b", "1/0", "one", "1e"):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -175,6 +178,20 @@ def test_exact_whitworth_labels_threshold(capsys):
     assert rec["event"] == "whitworth:x=1/2"
     assert rec["k"] is None
     assert rec["value_exact"] == "1/2"
+
+
+@pytest.mark.parametrize("command, event", [
+    (("exact", "--formula", "whitworth", "--n", "5"), "whitworth:x=1/10000000"),
+    (("simulate", "--n", "5", "--event", "max-spacing", "--trials", "1000"),
+     "max-spacing:x=1/10000000"),
+])
+def test_a_decimal_x_inside_the_unit_interval_is_admitted(capsys, command, event):
+    """A decimal --x near 0 reads exactly, not as its snap 0, which the range
+    check on x refused (exit 2)."""
+    code, out, err = run(capsys, *command, "--x", "0.0000001")
+    assert code == EXIT_OK, err
+    (rec,) = records_of(out)
+    assert rec["event"] == event
 
 
 def test_exact_csv_header_is_fixed(capsys):
@@ -414,6 +431,24 @@ def test_table_does_not_walk_k_beyond_the_largest_n():
         return proc.stdout
 
     assert stdout("3:1000000000000000000") == stdout("3:5")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("k, n", [(4, 9), (3, 3), (12, 12)])
+def test_a_table_cell_is_the_exact_record(capsys, k, n, fmt):
+    """table --k K --n N prints the bytes of exact --formula theorem1 at (K, N)."""
+    table = run(capsys, "table", "--k", str(k), "--n", str(n), "--format", fmt)
+    one = run(capsys, "exact", "--formula", "theorem1", "--k", str(k), "--n", str(n),
+              "--format", fmt)
+    assert table == one and table[0] == EXIT_OK
+
+
+def test_table_with_a_huge_negative_k_exits_at_once():
+    """The k range's lower end is checked before any cell is walked."""
+    proc, elapsed = run_timed_subprocess("table", "--k=-1000000000000000000:5", "--n", "3:5")
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert "k range must start at 3 or above" in proc.stderr
+    assert elapsed < 1.0
 
 
 def test_table_single_point_and_bad_ranges(capsys):

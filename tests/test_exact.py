@@ -14,6 +14,7 @@ from bstick import exact
 from bstick.exact import (
     FORMULAS,
     MAX_CAP,
+    TABLE_WORK_BUDGET,
     WHITWORTH_WORK_BUDGET,
     CapExceededError,
     alternating_factorial_identity,
@@ -23,6 +24,7 @@ from bstick.exact import (
     prob_all_quadrilateral_beta,
     prob_all_triangle,
     prob_exists_triangle,
+    table_cells,
     whitworth_survivor,
 )
 from bstick.kernel import binomial, falling_product, pochhammer
@@ -216,3 +218,35 @@ def test_whitworth_work_is_bounded_before_the_first_power(monkeypatch):
             whitworth_survivor(n, x)
     monkeypatch.undo()
     assert 0 < whitworth_survivor(MAX_CAP, F(1, 799)) < 1  # 798 terms, inside the budget
+
+
+@pytest.mark.parametrize("k_range, n_range, error, message", [
+    ((3, 200), (3, 200), CapExceededError,
+     f"exceeds the work bound TABLE_WORK_BUDGET = {TABLE_WORK_BUDGET}"),
+    ((560, 567), (800, 800), CapExceededError,
+     f"exceeds the work bound TABLE_WORK_BUDGET = {TABLE_WORK_BUDGET}"),
+    ((3, 3), (3, MAX_CAP + 1), CapExceededError, f"exceeds the limit MAX_CAP = {MAX_CAP}"),
+    ((2, 4), (3, 5), ValueError, "k range must start at 3 or above"),
+])
+def test_table_cells_refusals(k_range, n_range, error, message):
+    with pytest.raises(error, match=message):
+        table_cells(k_range, n_range)
+
+
+def test_table_cells_evaluate_no_value(monkeypatch):
+    """table_cells only lists and budgets cells, k-major as (n, k)."""
+    def no_value(*args):
+        raise AssertionError("table_cells evaluated a value")
+
+    monkeypatch.setattr(exact, "prob_all_kgon", no_value)
+    assert table_cells((3, 5), (3, 5)) == [(3, 3), (4, 3), (5, 3), (4, 4), (5, 4), (5, 5)]
+    assert table_cells((4, 10**18), (4, 6)) == [(4, 4), (5, 4), (6, 4), (5, 5), (6, 5), (6, 6)]
+    assert len(table_cells((3, 20), (3, 60))) == sum(61 - k for k in range(3, 21))
+
+
+def test_every_single_cell_at_max_cap_fits_the_table_budget():
+    """The costliest single cell, (k, n) = (400, MAX_CAP), is about 0.24x
+    TABLE_WORK_BUDGET, so MAX_CAP alone bounds `exact --formula theorem1`.
+    Raising MAX_CAP past about 1100 puts a single cell over the budget."""
+    for k in range(3, MAX_CAP + 1):
+        assert table_cells((k, k), (MAX_CAP, MAX_CAP)) == [(MAX_CAP, k)]
